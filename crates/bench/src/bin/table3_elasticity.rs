@@ -1,8 +1,8 @@
 //! Table 3 — elasticity: the same DASC job replayed on Amazon-EMR
 //! clusters of 16, 32 and 64 nodes.
 //!
-//! The run executes once on this machine through the MapReduce engine;
-//! its recorded task bag (map tasks sized by data volume, one reduce
+//! The run executes the two DASC stages once on this machine; its
+//! recorded task bag (map tasks sized by data volume, one reduce
 //! task per bucket) is then scheduled onto each cluster size (Table 2
 //! slot configuration) by the deterministic LPT simulator.
 //!
@@ -32,10 +32,10 @@ fn main() {
     let truth = ds.labels.as_ref().expect("labelled");
     let kernel = Kernel::gaussian_median_heuristic(&ds.points);
 
-    // One execution through the MapReduce engine records the task bag.
+    // One execution of the two stages records the task bag.
     let mut executor = ClusterConfig::local_lab();
     executor.records_per_split = 64;
-    eprintln!("running DASC through the MapReduce engine ...");
+    eprintln!("running the two DASC stages ...");
     let result = Dasc::new(
         DascConfig::for_dataset(n, k)
             .kernel(kernel)

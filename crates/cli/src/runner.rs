@@ -394,7 +394,7 @@ fn cluster_dist(
                 res.num_buckets,
                 res.stage1.map_task_durations.len(),
                 res.stage2.reduce_task_durations.len(),
-                res.stage1.shuffled_records,
+                n,
             ),
         )
     } else {

@@ -1,7 +1,7 @@
 //! The DASC algorithm (Section 3): LSH partitioning, bucket merging,
 //! per-bucket approximate kernel blocks, per-bucket spectral clustering —
 //! runnable serially (rayon over buckets) or as the paper's two
-//! MapReduce stages on the `dasc-mapreduce` substrate.
+//! MapReduce stages, whose task bodies live in [`crate::stages`].
 //!
 //! Every stage is traced with `dasc-obs` spans (`dasc.lsh`,
 //! `dasc.bucket`, `dasc.gram`, `dasc.cluster`, `dasc.consolidate`, and
@@ -18,13 +18,15 @@ use dasc_obs::span;
 use dasc_kernel::{ApproximateGram, Kernel};
 use dasc_linalg::{FlatPoints, KernelBackend, PointsView};
 use dasc_lsh::{BucketSet, LshConfig, Signature, SignatureModel};
-use dasc_mapreduce::{
-    reduce_groups, run_map_only, simulate_on_cluster, ClusterConfig, FnMapper, FnReducer, JobStats,
-};
+use dasc_mapreduce::{simulate_on_cluster, split_ranges, ClusterConfig, JobStats};
 use rayon::prelude::*;
 
-use crate::embedding::EigenPath;
-use crate::spectral::{SpectralBreakdown, SpectralClustering, SpectralConfig};
+use crate::embedding::{EigenPath, LANCZOS_THRESHOLD};
+use crate::spectral::{SpectralBreakdown, SpectralClustering};
+use crate::stages::{
+    bucket_spectral_config, map_signatures, merge_signature_groups, reduce_bucket,
+    stitch_distributed,
+};
 use crate::Clustering;
 
 /// DASC configuration.
@@ -60,7 +62,7 @@ impl DascConfig {
             k,
             kernel: Kernel::gaussian(0.2),
             lsh: LshConfig::for_dataset(n),
-            lanczos_threshold: 512,
+            lanczos_threshold: LANCZOS_THRESHOLD,
             consolidate: true,
             seed: 0xDA5C,
         }
@@ -132,20 +134,20 @@ pub struct DascResult {
     pub kernel_backend: KernelBackend,
 }
 
-/// Result of a distributed DASC run, carrying MapReduce statistics so
+/// Result of a distributed DASC run, carrying per-task durations so
 /// elasticity can be replayed on other cluster sizes (Table 3).
 #[derive(Clone, Debug)]
 pub struct DascDistributedResult {
     /// The final clustering (identical to the serial result for the same
-    /// configuration — the engine is deterministic).
+    /// configuration).
     pub clustering: Clustering,
     /// Number of buckets after merging.
     pub num_buckets: usize,
     /// Bytes of the approximate Gram matrix.
     pub approx_gram_bytes: usize,
-    /// Stage 1 (LSH map + shuffle) statistics.
+    /// Stage 1 (LSH map) task durations.
     pub stage1: JobStats,
-    /// Stage 2 (per-bucket clustering reduce) statistics.
+    /// Stage 2 (per-bucket clustering reduce) task durations.
     pub stage2: JobStats,
 }
 
@@ -181,11 +183,11 @@ pub struct DascTrained {
 /// Distributed counterpart of [`DascTrained`].
 #[derive(Clone, Debug)]
 pub struct DascTrainedDistributed {
-    /// The distributed run result (clustering + MapReduce statistics).
+    /// The distributed run result (clustering + task durations).
     pub result: DascDistributedResult,
     /// The frozen LSH signature model.
     pub model: SignatureModel,
-    /// Per-point signatures reconstructed from the stage-1 shuffle.
+    /// Per-point signatures reconstructed from the stage-1 map groups.
     pub signatures: Vec<Signature>,
     /// The merged bucket structure (stage-2 reduce groups).
     pub buckets: BucketSet,
@@ -310,7 +312,13 @@ impl Dasc {
             .map(|(bi, block)| {
                 let _bucket_span = span!("dasc.cluster.bucket");
                 let ki = bucket_cluster_count(self.config.k, block.members.len(), n);
-                let sc = SpectralClustering::new(self.spectral_config(ki, bi as u64));
+                let sc = SpectralClustering::new(bucket_spectral_config(
+                    ki,
+                    self.config.kernel,
+                    self.config.lanczos_threshold,
+                    self.config.seed,
+                    bi,
+                ));
                 let (c, breakdown) = sc.run_on_similarity_owned(block.matrix);
                 (bi, block.members, c, breakdown)
             })
@@ -355,11 +363,13 @@ impl Dasc {
 
     /// Run DASC as the paper's two MapReduce stages.
     ///
-    /// Stage 1 is Algorithm 1 (map: point → `(signature, index)`), with
-    /// bucket merging applied between the shuffle and the reducer, as
-    /// Section 3.3 specifies. Stage 2 is Algorithm 2 plus the spectral
-    /// step: each reduce task computes a bucket's sub-similarity matrix
-    /// and clusters it.
+    /// Stage 1 is Algorithm 1 (map: point → `(signature, index)`) over
+    /// the split plan [`split_ranges`] cuts for `cluster`, with bucket
+    /// merging applied between the stages, as Section 3.3 specifies.
+    /// Stage 2 is Algorithm 2 plus the spectral step: one reduce task per
+    /// merged bucket computes its sub-similarity matrix and clusters it.
+    /// Both stages run their tasks on the local pool and time each one,
+    /// so the task bag can be replayed on other cluster sizes.
     pub fn run_distributed(
         &self,
         points: &[Vec<f64>],
@@ -381,66 +391,59 @@ impl Dasc {
         assert!(!points.is_empty(), "DASC: empty dataset");
         let n = points.len();
 
-        // Stage 1: LSH signatures via MapReduce.
+        // Stage 1: LSH signatures, one map task per split.
         let stage1_span = span!("dasc.stage1.lsh_map");
         let model = SignatureModel::fit(points, &self.config.lsh);
-        let mapper = FnMapper::new(
-            |index: usize, point: Vec<f64>, emit: &mut dyn FnMut(u64, usize)| {
-                emit(model.hash(&point).bits(), index);
-            },
-        );
-        let inputs: Vec<(usize, Vec<f64>)> = points.iter().cloned().enumerate().collect();
-        let grouped = run_map_only(&mapper, inputs, cluster);
-        let stage1 = grouped.stats.clone();
+        let (map_task_durations, groups): (Vec<_>, Vec<_>) = split_ranges(n, cluster)
+            .into_par_iter()
+            .map(|(start, len)| {
+                timed(|| {
+                    let rows = points[start..start + len].iter().map(Vec::as_slice);
+                    map_signatures(&model, start, rows)
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .unzip();
         stage1_span.finish();
 
         // Between-stage merge: reconstruct per-point signatures from the
-        // shuffle groups and apply the P-similar rule.
+        // map groups and apply the P-similar rule.
         let merge_span = span!("dasc.bucket.merge");
-        let m = self.config.lsh.num_bits;
-        let mut sigs = vec![Signature::zero(m); n];
-        for (bits, members) in &grouped.records {
-            let s = Signature::from_bits(*bits, m);
-            for &i in members {
-                sigs[i] = s;
-            }
-        }
+        let sigs = merge_signature_groups(n, self.config.lsh.num_bits, groups.iter().flatten())
+            .expect("split plan covers every point once");
         let buckets = BucketSet::from_signatures(&sigs)
             .merge_with(self.config.lsh.merge_strategy, self.config.lsh.merge_p);
         let approx_gram_bytes = 4 * buckets.approx_gram_entries();
         merge_span.finish();
 
         // Stage 2: one reduce task per merged bucket.
-        let k_total = self.config.k;
-        let kernel = self.config.kernel;
-        let lanczos_threshold = self.config.lanczos_threshold;
-        let seed = self.config.seed;
-        let reducer = FnReducer::new(
-            move |bucket_id: usize,
-                  members: Vec<usize>,
-                  emit: &mut dyn FnMut((usize, usize, usize))| {
-                let sub: Vec<Vec<f64>> = members.iter().map(|&i| points[i].clone()).collect();
-                let ki = bucket_cluster_count(k_total, members.len(), n);
-                let c = cluster_bucket(&sub, ki, kernel, lanczos_threshold, seed, bucket_id);
-                for (local, &point) in members.iter().enumerate() {
-                    emit((point, bucket_id, c.assignments[local]));
-                }
-            },
-        );
         let stage2_span = span!("dasc.stage2.cluster_reduce");
-        let groups: Vec<(usize, Vec<usize>)> = buckets
+        let (reduce_task_durations, records): (Vec<_>, Vec<_>) = buckets
             .buckets()
-            .iter()
+            .par_iter()
             .enumerate()
-            .map(|(bi, b)| (bi, b.members.clone()))
-            .collect();
-        let reduced = reduce_groups(&reducer, groups, cluster);
-        let stage2 = reduced.stats.clone();
+            .map(|(bi, b)| {
+                timed(|| {
+                    reduce_bucket(
+                        &FlatPoints::gather(points, &b.members),
+                        &b.members,
+                        bucket_cluster_count(self.config.k, b.members.len(), n),
+                        self.config.kernel,
+                        self.config.lanczos_threshold,
+                        self.config.seed,
+                        bi,
+                    )
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .unzip();
         stage2_span.finish();
 
         // Stitch bucket-local cluster ids into a global id space.
         let stitch_span = span!("dasc.stitch");
-        let stitched = stitch_distributed(n, self.config.k, &buckets.sizes(), &reduced.records);
+        let stitched = stitch_distributed(n, self.config.k, &buckets.sizes(), &records.concat());
         stitch_span.finish();
         let clustering = if self.config.consolidate {
             let _consolidate_span = span!("dasc.consolidate");
@@ -454,8 +457,14 @@ impl Dasc {
             clustering,
             num_buckets: buckets.len(),
             approx_gram_bytes,
-            stage1,
-            stage2,
+            stage1: JobStats {
+                map_task_durations,
+                ..JobStats::default()
+            },
+            stage2: JobStats {
+                reduce_task_durations,
+                ..JobStats::default()
+            },
         };
         DascTrainedDistributed {
             result,
@@ -465,14 +474,13 @@ impl Dasc {
             config: self.config.clone(),
         }
     }
+}
 
-    fn spectral_config(&self, ki: usize, bucket_index: u64) -> SpectralConfig {
-        let mut cfg = SpectralConfig::new(ki)
-            .kernel(self.config.kernel)
-            .seed(self.config.seed ^ bucket_index.wrapping_mul(0x9E37_79B9));
-        cfg.lanczos_threshold = self.config.lanczos_threshold;
-        cfg
-    }
+/// Run `task` and measure its wall-clock duration.
+fn timed<T>(task: impl FnOnce() -> T) -> (Duration, T) {
+    let t0 = std::time::Instant::now();
+    let out = task();
+    (t0.elapsed(), out)
 }
 
 /// Run-level totals for the global metrics registry, recorded once per
@@ -502,74 +510,6 @@ pub fn bucket_cluster_count(k_total: usize, bucket_size: usize, n: usize) -> usi
     }
     let share = (k_total as f64 * bucket_size as f64 / n as f64).round() as usize;
     share.clamp(1, bucket_size)
-}
-
-/// Spectrally cluster one bucket's points into `ki` clusters — the
-/// stage-2 reduce body, shared verbatim by [`Dasc::train_distributed`]
-/// and the `dasc-dist` worker so both executors are bit-identical. The
-/// spectral seed derives from `(seed, bucket_id)` exactly as the serial
-/// path derives it.
-pub fn cluster_bucket(
-    points: &[Vec<f64>],
-    ki: usize,
-    kernel: Kernel,
-    lanczos_threshold: usize,
-    seed: u64,
-    bucket_id: usize,
-) -> Clustering {
-    cluster_bucket_flat(
-        &FlatPoints::from_rows(points),
-        ki,
-        kernel,
-        lanczos_threshold,
-        seed,
-        bucket_id,
-    )
-}
-
-/// [`cluster_bucket`] over a flat row-major buffer. The shard-addressed
-/// worker gathers a bucket's members straight out of mmap'd shards into
-/// one flat buffer and clusters it here; `cluster_bucket` delegates to
-/// this function, so the inline and dataset-ref executors stay
-/// bit-identical by construction.
-pub fn cluster_bucket_flat(
-    points: &FlatPoints,
-    ki: usize,
-    kernel: Kernel,
-    lanczos_threshold: usize,
-    seed: u64,
-    bucket_id: usize,
-) -> Clustering {
-    let mut cfg = SpectralConfig::new(ki)
-        .kernel(kernel)
-        .seed(seed ^ (bucket_id as u64).wrapping_mul(0x9E37_79B9));
-    cfg.lanczos_threshold = lanczos_threshold;
-    SpectralClustering::new(cfg).run_flat(points).clustering
-}
-
-/// Stitch distributed stage-2 output records `(point, bucket_id,
-/// local_cluster)` into one assignment with contiguous global cluster
-/// ids, given each bucket's size. Shared by [`Dasc::train_distributed`]
-/// and the `dasc-dist` coordinator.
-pub fn stitch_distributed(
-    n: usize,
-    k_total: usize,
-    bucket_sizes: &[usize],
-    records: &[(usize, usize, usize)],
-) -> Clustering {
-    let ki_per_bucket: Vec<usize> = bucket_sizes
-        .iter()
-        .map(|&ni| bucket_cluster_count(k_total, ni, n))
-        .collect();
-    let mut offsets = vec![0usize; ki_per_bucket.len() + 1];
-    for (i, &ki) in ki_per_bucket.iter().enumerate() {
-        offsets[i + 1] = offsets[i] + ki;
-    }
-    let mut assignments = vec![0usize; n];
-    for &(point, bucket_id, local) in records {
-        assignments[point] = offsets[bucket_id] + local.min(ki_per_bucket[bucket_id] - 1);
-    }
-    Clustering::new(assignments, (*offsets.last().expect("nonempty")).max(1))
 }
 
 /// Public entry to fragment consolidation (weighted K-means over

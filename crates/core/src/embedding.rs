@@ -42,6 +42,12 @@ impl EigenPath {
 /// inverse-iteration machinery isn't worth its bookkeeping.
 const DENSE_FULL_MAX: usize = 64;
 
+/// Default dense-k → Lanczos crossover order. Every executor (serial
+/// [`crate::Dasc`], [`crate::SpectralClustering`] and the `dasc-dist`
+/// reduce tasks) takes its default from here, so the routes cannot
+/// drift apart.
+pub const LANCZOS_THRESHOLD: usize = 512;
+
 /// Resolve the automatic eigensolver choice for an `n×n` problem
 /// wanting `k` vectors: full dense for tiny orders or nearly-full
 /// spectra (`4k ≥ n`), the k-targeted dense path up to

@@ -15,15 +15,15 @@
 //! * [`SpectralClustering`] — the exact Ng–Jordan–Weiss algorithm on the
 //!   full kernel matrix (the paper's SC baseline, Mahout in the
 //!   original);
-//! * [`Dasc`] — the paper's contribution, runnable serially or as two
-//!   MapReduce stages on the `dasc-mapreduce` substrate;
+//! * [`Dasc`] — the paper's contribution, runnable serially or as the
+//!   paper's two MapReduce stages, whose bodies ([`stages`]) the
+//!   `dasc-dist` runtime shares;
 //! * [`ParallelSpectral`] — the PSC baseline (Chen et al.): sparse t-NN
 //!   similarity + Lanczos;
 //! * [`Nystrom`] — the NYST baseline (Nyström-extension spectral
 //!   clustering, Fowlkes-style normalization).
 
 pub mod dasc;
-pub mod distributed_kmeans;
 pub mod embedding;
 pub mod kmeans;
 pub mod local_scaling;
@@ -31,17 +31,16 @@ pub mod nystrom_sc;
 pub mod psc;
 pub mod regression;
 pub mod spectral;
-pub mod streaming;
+pub mod stages;
 
 pub use dasc::{
-    bucket_cluster_count, cluster_bucket, cluster_bucket_flat, consolidate, stitch_distributed,
-    Dasc, DascConfig, DascDistributedResult, DascResult, DascTrained, DascTrainedDistributed,
+    bucket_cluster_count, consolidate, Dasc, DascConfig, DascDistributedResult, DascResult,
+    DascTrained, DascTrainedDistributed,
 };
 pub use dasc_linalg::KernelBackend;
-pub use distributed_kmeans::{distributed_kmeans, DistributedKMeansResult};
 pub use embedding::{
     normalized_laplacian, normalized_laplacian_inplace, resolve_eigen_path, row_normalize,
-    top_eigenvectors, top_eigenvectors_with, EigenPath,
+    top_eigenvectors, top_eigenvectors_with, EigenPath, LANCZOS_THRESHOLD,
 };
 pub use kmeans::{AssignPath, KMeans, KMeansConfig, KMeansResult};
 pub use local_scaling::{local_scales, local_scaling_similarity};
@@ -52,7 +51,10 @@ pub use spectral::{
     EigenBackend, LaplacianKind, SpectralBreakdown, SpectralClustering, SpectralConfig,
     SpectralResult,
 };
-pub use streaming::StreamingDasc;
+pub use stages::{
+    check_reduce_records, map_signatures, merge_signature_groups, reduce_bucket,
+    stitch_distributed, CoverageError,
+};
 
 /// A cluster assignment over `n` points.
 #[derive(Clone, Debug, PartialEq, Eq)]

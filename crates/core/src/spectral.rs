@@ -9,7 +9,7 @@ use dasc_obs::span;
 
 use crate::embedding::{
     normalized_laplacian_inplace, resolve_eigen_path, row_normalize, top_eigenvectors_with,
-    EigenPath,
+    EigenPath, LANCZOS_THRESHOLD,
 };
 use crate::kmeans::{KMeans, KMeansConfig};
 use crate::Clustering;
@@ -26,7 +26,8 @@ pub enum EigenBackend {
     /// Always Lanczos.
     Lanczos,
     /// Full dense for tiny/nearly-full problems, dense-k below the
-    /// threshold, Lanczos above (default threshold: 512).
+    /// threshold, Lanczos above (default threshold:
+    /// [`LANCZOS_THRESHOLD`]).
     Auto,
 }
 
@@ -68,7 +69,7 @@ impl SpectralConfig {
             k,
             kernel: Kernel::gaussian(0.2),
             backend: EigenBackend::Auto,
-            lanczos_threshold: 512,
+            lanczos_threshold: LANCZOS_THRESHOLD,
             laplacian: LaplacianKind::Symmetric,
             seed: 0x5BEC,
         }

@@ -8,10 +8,12 @@
 //! 1. fit the LSH signature model locally (cheap, needs the whole
 //!    dataset's histograms — same as the in-process path);
 //! 2. stage 1: one `MapSignatures` task per `split_ranges` slice;
-//! 3. between-stage merge: rebuild per-point signatures, form and
-//!    merge buckets (identical code to the in-process engine);
+//! 3. between-stage merge: rebuild per-point signatures, checking that
+//!    every point is mapped exactly once, then form and merge buckets
+//!    (the shared `dasc_core::merge_signature_groups`);
 //! 4. stage 2: one `ReduceBucket` task per merged bucket;
-//! 5. stitch + consolidate locally via the shared `dasc-core` helpers.
+//! 5. check that every point came back exactly once, then stitch and
+//!    consolidate locally via the shared `dasc-core` helpers.
 //!
 //! Jobs submitted against a packed dataset store ([`JobData::Ref`])
 //! follow the same flow with the `*Ref` task kinds: tasks carry the
@@ -19,9 +21,9 @@
 //! coordinator doubles as the name node, serving raw shard bytes to
 //! workers on [`Msg::ShardRequest`] out of the mmap'd store.
 //!
-//! Because every numerical step is the same shared function the
-//! in-process engine calls, the final assignments are bit-identical to
-//! `Dasc::run_distributed` for the same `JobSpec` — regardless of
+//! Because every numerical step is the same shared function
+//! `Dasc::run_distributed` calls, the final assignments are
+//! bit-identical to it for the same `JobSpec` — regardless of
 //! worker count, task interleaving, or mid-job worker deaths.
 //!
 //! Fault tolerance is Hadoop-shaped: workers heartbeat; a worker silent
@@ -38,7 +40,10 @@ use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use dasc_core::{bucket_cluster_count, consolidate, stitch_distributed, Clustering};
+use dasc_core::{
+    bucket_cluster_count, check_reduce_records, consolidate, merge_signature_groups,
+    stitch_distributed, Clustering, LANCZOS_THRESHOLD,
+};
 use dasc_lsh::{BucketSet, LshConfig, Signature, SignatureModel};
 use dasc_mapreduce::{split_ranges, ClusterConfig};
 use dasc_net::{ConnId, Server, ServerConfig, ServerHandle, Service};
@@ -794,7 +799,7 @@ impl CoordinatorService {
                 };
                 reg.inc("dasc_dist_jobs_total", 1);
                 let shared = Arc::clone(shared);
-                std::thread::spawn(move || run_job(&shared, job_id, spec));
+                std::thread::spawn(move || drive_job(&shared, job_id, spec));
                 Msg::JobAccepted { job_id }
             }
             Msg::PollJob { job_id } => {
@@ -924,9 +929,46 @@ impl DataSource<'_> {
     }
 }
 
+/// Rebuild per-point signatures from the stage-1 replies. Every point
+/// must be mapped by exactly one reply group.
+fn merge_map_outputs<'a>(
+    n: usize,
+    num_bits: usize,
+    outputs: impl IntoIterator<Item = &'a TaskOutput>,
+) -> Result<Vec<Signature>, String> {
+    let mut groups = Vec::new();
+    for output in outputs {
+        let TaskOutput::MapSignatures(g) = output else {
+            return Err("map task returned reduce output".to_string());
+        };
+        groups.push(g);
+    }
+    merge_signature_groups(n, num_bits, groups.into_iter().flatten())
+        .map_err(|e| format!("map stage output: {e}"))
+}
+
+/// Gather the stage-2 replies' records. Every point must come back
+/// exactly once, in an existing bucket.
+fn collect_reduce_records<'a>(
+    n: usize,
+    num_buckets: usize,
+    outputs: impl IntoIterator<Item = &'a TaskOutput>,
+) -> Result<Vec<(usize, usize, usize)>, String> {
+    let mut records = Vec::with_capacity(n);
+    for output in outputs {
+        let TaskOutput::ReduceBucket(rs) = output else {
+            return Err("reduce task returned map output".to_string());
+        };
+        records.extend_from_slice(rs);
+    }
+    check_reduce_records(n, num_buckets, &records)
+        .map_err(|e| format!("reduce stage output: {e}"))?;
+    Ok(records)
+}
+
 /// The job runner: the exact `Dasc::train_distributed` flow with map
 /// and reduce bodies farmed out to workers.
-fn run_job(shared: &SharedState, job_id: u64, spec: JobSpec) {
+fn drive_job(shared: &SharedState, job_id: u64, spec: JobSpec) {
     let result = execute_job(shared, job_id, &spec);
     match result {
         Ok(outcome) => shared.set_job_state(job_id, JobState::Done(outcome)),
@@ -1033,23 +1075,8 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
     shared.trace_end(job_id, stage1_id);
     stage1_span.finish();
 
-    // Between-stage merge, identical to the in-process engine.
-    let m = model.num_bits();
-    let mut sigs = vec![Signature::zero(m); n];
-    for output in map_outputs.values() {
-        let TaskOutput::MapSignatures(groups) = output else {
-            return Err("map task returned reduce output".to_string());
-        };
-        for (bits, members) in groups {
-            let s = Signature::from_bits(*bits, m);
-            for &i in members {
-                if i >= n {
-                    return Err(format!("map output point {i} out of range"));
-                }
-                sigs[i] = s;
-            }
-        }
-    }
+    // Between-stage merge through the shared helper.
+    let sigs = merge_map_outputs(n, model.num_bits(), map_outputs.values())?;
     let buckets = BucketSet::from_signatures(&sigs).merge_with(lsh.merge_strategy, lsh.merge_p);
 
     // Stage 2: one reduce task per merged bucket.
@@ -1072,7 +1099,7 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
                     ki: bucket_cluster_count(spec.k, b.members.len(), n),
                     kernel: spec.kernel,
                     seed: spec.seed,
-                    lanczos_threshold: 512,
+                    lanczos_threshold: LANCZOS_THRESHOLD,
                     members: b.members.clone(),
                     points: b.members.iter().map(|&i| points[i].clone()).collect(),
                 },
@@ -1081,7 +1108,7 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
                     ki: bucket_cluster_count(spec.k, b.members.len(), n),
                     kernel: spec.kernel,
                     seed: spec.seed,
-                    lanczos_threshold: 512,
+                    lanczos_threshold: LANCZOS_THRESHOLD,
                     manifest: reader.manifest().clone(),
                     members: b.members.clone(),
                 },
@@ -1105,24 +1132,7 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
     {
         *stage = stage::FINISH;
     }
-    let mut records = Vec::with_capacity(n);
-    for output in reduce_outputs.values() {
-        let TaskOutput::ReduceBucket(rs) = output else {
-            return Err("reduce task returned map output".to_string());
-        };
-        for &(point, bucket_id, local) in rs {
-            if point >= n || bucket_id >= buckets.len() {
-                return Err("reduce output out of range".to_string());
-            }
-            records.push((point, bucket_id, local));
-        }
-    }
-    if records.len() != n {
-        return Err(format!(
-            "reduce stage covered {} of {n} points",
-            records.len()
-        ));
-    }
+    let records = collect_reduce_records(n, buckets.len(), reduce_outputs.values())?;
     let stitched = stitch_distributed(n, spec.k, &buckets.sizes(), &records);
     let clustering: Clustering = if spec.consolidate {
         match &source {
@@ -1160,4 +1170,58 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
         shuffle_bytes,
         task_retries,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn map_replies_with_a_duplicated_and_a_missing_point_fail_the_merge() {
+        // Two replies map 3 points in total, but point 1 twice and point
+        // 2 never.
+        let replies = [
+            TaskOutput::MapSignatures(vec![(0b01, vec![0, 1])]),
+            TaskOutput::MapSignatures(vec![(0b10, vec![1])]),
+        ];
+        let err = merge_map_outputs(3, 2, &replies).expect_err("point 1 twice");
+        assert!(err.contains("point 1 reported twice"), "{err}");
+
+        let replies = [
+            TaskOutput::MapSignatures(vec![(0b01, vec![0])]),
+            TaskOutput::MapSignatures(vec![(0b10, vec![1])]),
+        ];
+        let err = merge_map_outputs(3, 2, &replies).expect_err("point 2 missing");
+        assert!(err.contains("point 2 never reported"), "{err}");
+
+        let replies = [
+            TaskOutput::MapSignatures(vec![(0b01, vec![0, 2])]),
+            TaskOutput::MapSignatures(vec![(0b10, vec![1])]),
+        ];
+        let sigs = merge_map_outputs(3, 2, &replies).expect("exact cover");
+        let bits: Vec<u64> = sigs.iter().map(Signature::bits).collect();
+        assert_eq!(bits, vec![0b01, 0b10, 0b01]);
+    }
+
+    #[test]
+    fn reduce_replies_with_a_duplicated_and_a_missing_point_fail_the_job() {
+        // Three records for three points — the old count check passed
+        // this — but point 0 comes back twice and point 2 never.
+        let replies = [
+            TaskOutput::ReduceBucket(vec![(0, 0, 0), (1, 0, 1)]),
+            TaskOutput::ReduceBucket(vec![(0, 1, 0)]),
+        ];
+        let err = collect_reduce_records(3, 2, &replies).expect_err("point 0 twice");
+        assert!(err.contains("point 0 reported twice"), "{err}");
+
+        let replies = [
+            TaskOutput::ReduceBucket(vec![(0, 0, 0), (1, 0, 1)]),
+            TaskOutput::ReduceBucket(vec![(2, 1, 0)]),
+        ];
+        let records = collect_reduce_records(3, 2, &replies).expect("exact cover");
+        assert_eq!(records.len(), 3);
+
+        let wrong_stage = [TaskOutput::MapSignatures(Vec::new())];
+        assert!(collect_reduce_records(0, 1, &wrong_stage).is_err());
+    }
 }

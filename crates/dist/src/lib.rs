@@ -1,15 +1,16 @@
 //! Multi-process distributed DASC runtime.
 //!
 //! The paper runs DASC as two MapReduce stages on Hadoop across real
-//! machines; the rest of this workspace replays that jobflow inside one
-//! process (`dasc-mapreduce`). This crate closes the gap: a
-//! [`Coordinator`] (job tracker + name node) and pull-based workers
-//! ([`worker::spawn`]) execute the same two-stage pipeline across OS
-//! processes over `dasc-net` TCP framing.
+//! machines; `Dasc::run_distributed` runs that jobflow inside one
+//! process. This crate runs it across OS processes: a [`Coordinator`]
+//! (job tracker + name node) and pull-based workers ([`worker::spawn`])
+//! over `dasc-net` TCP framing.
 //!
-//! Determinism is structural, not empirical: the map body, the reduce
-//! body (`dasc_core::cluster_bucket`), the between-stage bucket merge,
-//! the stitch (`dasc_core::stitch_distributed`) and the consolidation
+//! Determinism is structural, not empirical: the map body
+//! (`dasc_core::map_signatures`), the between-stage merge
+//! (`dasc_core::merge_signature_groups`), the reduce body
+//! (`dasc_core::reduce_bucket`), the stitch
+//! (`dasc_core::stitch_distributed`) and the consolidation
 //! (`dasc_core::consolidate`) are the *same functions* the in-process
 //! `Dasc::run_distributed` calls, and none of them depend on task
 //! granularity or arrival order. A distributed run therefore produces
@@ -37,6 +38,5 @@ pub use coordinator::{task_input_volume, Coordinator};
 pub use httpd::HttpHandle;
 pub use proto::{JobData, JobOutcome, JobSpec, Msg, MsgType, Task, TaskKind, TaskOutput};
 pub use worker::{
-    execute_task, execute_task_traced, execute_task_traced_with, execute_task_with, run_worker,
-    ShardSource, WorkerHandle, WorkerOptions,
+    execute_task, execute_task_traced, run_worker, ShardSource, WorkerHandle, WorkerOptions,
 };

@@ -2,40 +2,38 @@
 //!
 //! On start the worker registers, spawns a heartbeat thread on its own
 //! connection, then loops: `RequestTask` → execute → `TaskDone` (or
-//! `TaskFailed` if the task body panicked — the same failure unit as
-//! the in-process engine's catch-unwind retry). Task bodies run the
-//! *existing* `dasc-mapreduce` mapper/reducer machinery locally, so a
-//! worker process is literally one Hadoop task tracker's worth of the
-//! in-process engine, and its numerics are shared code with the
-//! single-process path:
+//! `TaskFailed` if the task body panicked or failed). Task bodies are
+//! the stage bodies of `dasc_core::stages`, the same functions
+//! `Dasc::run_distributed` runs, so the numerics are shared code with
+//! the single-process path:
 //!
-//! * `MapSignatures` → [`run_map_only`] with the Algorithm 1 mapper;
-//! * `ReduceBucket` → [`reduce_groups`] with a reducer that calls
-//!   `dasc_core::cluster_bucket` (the shared stage-2 body).
+//! * `MapSignatures` / `MapSignaturesRef` →
+//!   [`dasc_core::map_signatures`] (Algorithm 1);
+//! * `ReduceBucket` / `ReduceBucketRef` → [`dasc_core::reduce_bucket`]
+//!   (Algorithm 2 plus the spectral step).
 //!
 //! Shard-addressed tasks (`MapSignaturesRef` / `ReduceBucketRef`)
 //! carry no points; the worker resolves the referenced global rows
 //! through its [`ShardSource`] — a byte-bounded LRU shard cache that
 //! fetches misses from the coordinator with `ShardRequest` RPCs and
-//! verifies every fetched shard against the manifest checksum. The
-//! numerical bodies are the same shared `dasc-core` functions, so a
-//! ref task's output is bit-identical to its inline twin's.
+//! verifies every fetched shard against the manifest checksum — and
+//! hands them to the same body its inline twin uses, so a ref task's
+//! output is bit-identical to the inline task's.
 //!
 //! For fault-injection tests, [`WorkerOptions::die_after_assignments`]
 //! makes the worker drop all its connections and stop the moment it
 //! has *accepted* its Nth task — the coordinator sees a vanished
 //! worker holding an in-flight task, exactly like a crashed machine.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dasc_core::{cluster_bucket, cluster_bucket_flat};
+use dasc_core::{map_signatures, reduce_bucket};
 use dasc_linalg::FlatPoints;
 use dasc_lsh::SignatureModel;
-use dasc_mapreduce::{reduce_groups, run_map_only, ClusterConfig, FnMapper, FnReducer};
+use dasc_mapreduce::ClusterConfig;
 use dasc_net::{Client, ClientConfig};
 use dasc_obs::{labeled, MetricsSnapshot, SpanRecord, Tracer};
 use dasc_store::{DatasetManifest, Shard, ShardCache, StoreError};
@@ -48,7 +46,7 @@ use crate::proto::{Msg, Task, TaskKind, TaskOutput};
 pub struct WorkerOptions {
     /// Human-readable name reported at registration.
     pub name: String,
-    /// Cluster knobs: RPC timeouts/backoff and the local engine's slot
+    /// Cluster knobs: RPC timeouts and backoff.
     /// configuration for executing task bodies.
     pub cluster: ClusterConfig,
     /// Fault injection: accept this many task assignments, then drop
@@ -61,7 +59,7 @@ pub struct WorkerOptions {
 }
 
 impl WorkerOptions {
-    /// Defaults: single-node local engine, telemetry on, no fault
+    /// Defaults: single-node cluster knobs, telemetry on, no fault
     /// injection.
     pub fn named(name: impl Into<String>) -> Self {
         Self {
@@ -312,20 +310,19 @@ fn pull_loop(
                     return Ok(());
                 }
                 let task_id = task.task_id;
-                let report =
-                    match execute_task_traced_with(task, &options.cluster, Some(shard_source)) {
-                        (Ok(output), spans) => Msg::TaskDone {
-                            worker_id,
-                            task_id,
-                            output,
-                            spans,
-                        },
-                        (Err(error), _) => Msg::TaskFailed {
-                            worker_id,
-                            task_id,
-                            error,
-                        },
-                    };
+                let report = match execute_task_traced(task, Some(shard_source)) {
+                    (Ok(output), spans) => Msg::TaskDone {
+                        worker_id,
+                        task_id,
+                        output,
+                        spans,
+                    },
+                    (Err(error), _) => Msg::TaskFailed {
+                        worker_id,
+                        task_id,
+                        error,
+                    },
+                };
                 rpc(client, &report)?;
             }
             Msg::NoTask { backoff_ms } => {
@@ -336,32 +333,12 @@ fn pull_loop(
     }
 }
 
-/// Execute one task body through the in-process MapReduce machinery.
-/// A panic inside the body (the engine's failure unit) becomes an
-/// error string for `TaskFailed`. Convenience wrapper over
-/// [`execute_task_traced_with`] for callers that don't want the span
-/// log; shard-addressed tasks fail without a [`ShardSource`].
-pub fn execute_task(task: Task, cluster: &ClusterConfig) -> Result<TaskOutput, String> {
-    execute_task_traced_with(task, cluster, None).0
-}
-
-/// [`execute_task`] with an explicit shard resolver for the
-/// shard-addressed task kinds.
-pub fn execute_task_with(
-    task: Task,
-    cluster: &ClusterConfig,
-    shard_source: Option<&ShardSource>,
-) -> Result<TaskOutput, String> {
-    execute_task_traced_with(task, cluster, shard_source).0
-}
-
-/// [`execute_task_traced_with`] without a shard resolver — kept for
-/// callers that only ever execute inline tasks.
-pub fn execute_task_traced(
-    task: Task,
-    cluster: &ClusterConfig,
-) -> (Result<TaskOutput, String>, Vec<SpanRecord>) {
-    execute_task_traced_with(task, cluster, None)
+/// Execute one task body. A panic inside the body becomes an error
+/// string for `TaskFailed`; shard-addressed tasks fail without a
+/// [`ShardSource`]. Wrapper over [`execute_task_traced`] for callers
+/// that don't want the span log.
+pub fn execute_task(task: Task, shard_source: Option<&ShardSource>) -> Result<TaskOutput, String> {
+    execute_task_traced(task, shard_source).0
 }
 
 /// Execute one task body and return its output together with the span
@@ -373,9 +350,8 @@ pub fn execute_task_traced(
 /// concurrent workers sharing a process (tests, benches) never mix
 /// their logs; timestamps are relative to the task body's start and are
 /// rebased onto the job timeline by the coordinator.
-pub fn execute_task_traced_with(
+pub fn execute_task_traced(
     task: Task,
-    cluster: &ClusterConfig,
     shard_source: Option<&ShardSource>,
 ) -> (Result<TaskOutput, String>, Vec<SpanRecord>) {
     let tracer = Tracer::new();
@@ -398,20 +374,11 @@ pub fn execute_task_traced_with(
                 } => {
                     let _span = tracer.span("dist.task.map");
                     let model = SignatureModel::from_planes(planes);
-                    let mapper = FnMapper::new(
-                        |index: usize, point: Vec<f64>, emit: &mut dyn FnMut(u64, usize)| {
-                            emit(model.hash(&point).bits(), index);
-                        },
-                    );
-                    let inputs: Vec<(usize, Vec<f64>)> = points
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, p)| (start + i, p))
-                        .collect();
-                    let hash_span = tracer.span("dist.task.map.hash");
-                    let grouped = run_map_only(&mapper, inputs, cluster);
-                    hash_span.finish();
-                    Ok(TaskOutput::MapSignatures(grouped.records))
+                    let _hash_span = tracer.span("dist.task.map.hash");
+                    let rows = points.iter().map(Vec::as_slice);
+                    Ok(TaskOutput::MapSignatures(map_signatures(
+                        &model, start, rows,
+                    )))
                 }
                 TaskKind::ReduceBucket {
                     bucket_id,
@@ -423,30 +390,16 @@ pub fn execute_task_traced_with(
                     points,
                 } => {
                     let _span = tracer.span("dist.task.reduce");
-                    let reducer = FnReducer::new(
-                        move |bucket_id: usize,
-                              member_points: Vec<(usize, Vec<f64>)>,
-                              emit: &mut dyn FnMut((usize, usize, usize))| {
-                            let sub: Vec<Vec<f64>> =
-                                member_points.iter().map(|(_, p)| p.clone()).collect();
-                            let c = cluster_bucket(
-                                &sub,
-                                ki,
-                                kernel,
-                                lanczos_threshold,
-                                seed,
-                                bucket_id,
-                            );
-                            for (local, &(point, _)) in member_points.iter().enumerate() {
-                                emit((point, bucket_id, c.assignments[local]));
-                            }
-                        },
-                    );
-                    let values: Vec<(usize, Vec<f64>)> = members.into_iter().zip(points).collect();
-                    let cluster_span = tracer.span("dist.task.reduce.cluster");
-                    let reduced = reduce_groups(&reducer, vec![(bucket_id, values)], cluster);
-                    cluster_span.finish();
-                    Ok(TaskOutput::ReduceBucket(reduced.records))
+                    let _cluster_span = tracer.span("dist.task.reduce.cluster");
+                    Ok(TaskOutput::ReduceBucket(reduce_bucket(
+                        &FlatPoints::from_rows(&points),
+                        &members,
+                        ki,
+                        kernel,
+                        lanczos_threshold,
+                        seed,
+                        bucket_id,
+                    )))
                 }
                 TaskKind::MapSignaturesRef {
                     num_bits: _,
@@ -459,26 +412,24 @@ pub fn execute_task_traced_with(
                     let source = shard_source
                         .ok_or("shard-addressed task but this worker has no shard source")?;
                     let model = SignatureModel::from_planes(planes);
-                    let hash_span = tracer.span("dist.task.map.hash");
-                    // Walk the global range shard by shard. Grouping by
-                    // signature bits matches the inline path's shuffle
-                    // grouping; the coordinator merge is per-point and
-                    // order-insensitive either way.
-                    let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-                    let mut i = start;
-                    let end = start + len;
+                    let _hash_span = tracer.span("dist.task.map.hash");
+                    // Resolve the shards the global range spans, then
+                    // hash their rows in order.
+                    let mut pieces = Vec::new();
+                    let (mut i, end) = (start, start + len);
                     while i < end {
                         let (s, r) = manifest.locate(i);
                         let shard = source.shard(&manifest, s)?;
                         let take = (shard.rows() - r).min(end - i);
-                        for j in 0..take {
-                            let bits = model.hash(shard.row(r + j)).bits();
-                            groups.entry(bits).or_default().push(i + j);
-                        }
+                        pieces.push((shard, r..r + take));
                         i += take;
                     }
-                    hash_span.finish();
-                    Ok(TaskOutput::MapSignatures(groups.into_iter().collect()))
+                    let rows = pieces
+                        .iter()
+                        .flat_map(|(shard, rows)| rows.clone().map(move |j| shard.row(j)));
+                    Ok(TaskOutput::MapSignatures(map_signatures(
+                        &model, start, rows,
+                    )))
                 }
                 TaskKind::ReduceBucketRef {
                     bucket_id,
@@ -493,8 +444,7 @@ pub fn execute_task_traced_with(
                     let source = shard_source
                         .ok_or("shard-addressed task but this worker has no shard source")?;
                     // Gather the bucket's rows straight into one flat
-                    // buffer — the same layout `cluster_bucket` builds
-                    // from its nested input, so the numerics agree.
+                    // buffer, in member order like the inline arm.
                     let dim = manifest.dim as usize;
                     let mut flat = Vec::with_capacity(members.len() * dim);
                     for &m in &members {
@@ -502,23 +452,16 @@ pub fn execute_task_traced_with(
                         let shard = source.shard(&manifest, s)?;
                         flat.extend_from_slice(shard.row(r));
                     }
-                    let cluster_span = tracer.span("dist.task.reduce.cluster");
-                    let c = cluster_bucket_flat(
+                    let _cluster_span = tracer.span("dist.task.reduce.cluster");
+                    Ok(TaskOutput::ReduceBucket(reduce_bucket(
                         &FlatPoints::from_flat(flat, dim),
+                        &members,
                         ki,
                         kernel,
                         lanczos_threshold,
                         seed,
                         bucket_id,
-                    );
-                    cluster_span.finish();
-                    Ok(TaskOutput::ReduceBucket(
-                        members
-                            .iter()
-                            .enumerate()
-                            .map(|(local, &point)| (point, bucket_id, c.assignments[local]))
-                            .collect(),
-                    ))
+                    )))
                 }
             }
         },

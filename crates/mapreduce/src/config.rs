@@ -1,4 +1,5 @@
-//! Cluster topology and Hadoop-style tuning parameters (paper Table 2).
+//! Cluster topology, Hadoop-style tuning parameters (paper Table 2) and
+//! the stage-1 split plan.
 
 use std::time::Duration;
 
@@ -6,15 +7,13 @@ use std::time::Duration;
 /// runs on.
 ///
 /// Field defaults mirror Table 2 of the paper, which lists the Elastic
-/// MapReduce setup: 4 map slots and 2 reduce slots per task tracker and a
-/// DFS replication factor of 3. Heap sizes are carried for memory
-/// accounting parity with the paper's setup, not enforced.
+/// MapReduce setup: 4 map slots and 2 reduce slots per task tracker.
 ///
-/// The same struct is the single knob set for all three executors: the
-/// in-process engine (`engine.rs`), the LPT simulator (`sim.rs`), and
-/// the multi-process `dasc-dist` coordinator/worker runtime read their
-/// retry budgets, split sizing, and timeouts from here, so tuning one
-/// place tunes them all.
+/// The same struct is the single knob set for every executor: the
+/// in-process `Dasc::run_distributed`, the LPT simulator (`sim.rs`),
+/// and the multi-process `dasc-dist` coordinator/worker runtime read
+/// their split sizing, retry budgets, and timeouts from here, so tuning
+/// one place tunes them all.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClusterConfig {
     /// Number of worker nodes (task trackers / data nodes).
@@ -23,11 +22,6 @@ pub struct ClusterConfig {
     pub map_slots_per_node: usize,
     /// Concurrent reduce tasks per node.
     pub reduce_slots_per_node: usize,
-    /// DFS block replication factor.
-    pub replication: usize,
-    /// DFS block size in bytes (64 MB in Hadoop 0.20; configurable so
-    /// tests can exercise multi-block files cheaply).
-    pub block_size: usize,
     /// Records per input split — the record-level analogue of Hadoop's
     /// block-driven split sizing, so map-task count grows with data
     /// volume. A floor of [`ClusterConfig::map_waves_per_slot`] waves per
@@ -39,10 +33,8 @@ pub struct ClusterConfig {
     /// "aim for a couple of waves of maps").
     pub map_waves_per_slot: usize,
     /// Attempts per task before the job fails (Hadoop's
-    /// `mapred.map.max.attempts`, default 4). In the in-process engine a
-    /// task attempt "fails" by panicking; in `dasc-dist` it fails by the
-    /// worker dying or reporting an error. Both count against this
-    /// budget.
+    /// `mapred.map.max.attempts`, default 4). In `dasc-dist` an attempt
+    /// fails by the worker dying or reporting an error.
     pub max_task_attempts: usize,
     /// Speculative-execution duration cap as a multiple of the normal
     /// task duration: the backup copy launches once the normal duration
@@ -69,14 +61,6 @@ pub struct ClusterConfig {
     pub rpc_backoff_max: Duration,
     /// Connection attempts before a `dasc-net` client gives up.
     pub rpc_max_connect_attempts: usize,
-    /// Job tracker heap, bytes (Table 2: 768 MB).
-    pub jobtracker_heap: usize,
-    /// Name node heap, bytes (Table 2: 256 MB).
-    pub namenode_heap: usize,
-    /// Task tracker heap, bytes (Table 2: 512 MB).
-    pub tasktracker_heap: usize,
-    /// Data node heap, bytes (Table 2: 256 MB).
-    pub datanode_heap: usize,
 }
 
 impl ClusterConfig {
@@ -88,8 +72,6 @@ impl ClusterConfig {
             nodes,
             map_slots_per_node: 4,
             reduce_slots_per_node: 2,
-            replication: 3.min(nodes),
-            block_size: 64 * 1024 * 1024,
             records_per_split: 1024,
             map_waves_per_slot: 2,
             max_task_attempts: 4,
@@ -102,19 +84,13 @@ impl ClusterConfig {
             rpc_backoff_base: Duration::from_millis(50),
             rpc_backoff_max: Duration::from_secs(2),
             rpc_max_connect_attempts: 8,
-            jobtracker_heap: 768 << 20,
-            namenode_heap: 256 << 20,
-            tasktracker_heap: 512 << 20,
-            datanode_heap: 256 << 20,
         }
     }
 
     /// The paper's five-machine lab cluster (one master, four slaves;
     /// Core2 Duo E6550, 1 GB DRAM). Worker count is the four slaves.
     pub fn local_lab() -> Self {
-        let mut c = Self::emr(4);
-        c.replication = 3;
-        c
+        Self::emr(4)
     }
 
     /// Single-node configuration, handy for unit tests.
@@ -139,21 +115,6 @@ impl ClusterConfig {
     pub fn total_reduce_slots(&self) -> usize {
         self.nodes * self.reduce_slots_per_node
     }
-
-    /// Default number of reduce tasks for a job on this cluster
-    /// (Hadoop's rule of thumb: ~1× the reduce slot count).
-    pub fn default_num_reducers(&self) -> usize {
-        self.total_reduce_slots().max(1)
-    }
-
-    /// Cap a requested parallelism at what this machine can actually run
-    /// concurrently (the engine executes slots as real threads).
-    pub(crate) fn effective_threads(&self, slots: usize) -> usize {
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        slots.min(host.max(1)).max(1)
-    }
 }
 
 impl Default for ClusterConfig {
@@ -162,6 +123,52 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         Self::emr_default()
     }
+}
+
+/// Pick a split count: data-proportional (one task per
+/// `records_per_split` records, Hadoop's block-driven sizing) with a
+/// floor of `waves_per_slot` waves per slot
+/// ([`ClusterConfig::map_waves_per_slot`]), never more tasks than
+/// records.
+fn desired_splits(
+    records: usize,
+    map_slots: usize,
+    records_per_split: usize,
+    waves_per_slot: usize,
+) -> usize {
+    if records == 0 {
+        return 0;
+    }
+    let by_data = records.div_ceil(records_per_split.max(1));
+    let by_slots = (map_slots * waves_per_slot).min(records);
+    by_data.max(by_slots).clamp(1, records)
+}
+
+/// The contiguous `(start, len)` input ranges `records` records are cut
+/// into on `config` — the stage-1 split plan, one map task per range.
+/// `Dasc::run_distributed` and the `dasc-dist` coordinator both cut
+/// their map tasks here. Earlier ranges take the remainder, one record
+/// each.
+pub fn split_ranges(records: usize, config: &ClusterConfig) -> Vec<(usize, usize)> {
+    let num_splits = desired_splits(
+        records,
+        config.total_map_slots(),
+        config.records_per_split,
+        config.map_waves_per_slot,
+    );
+    if num_splits == 0 {
+        return Vec::new();
+    }
+    let base = records / num_splits;
+    let extra = records % num_splits;
+    let mut ranges = Vec::with_capacity(num_splits);
+    let mut start = 0usize;
+    for s in 0..num_splits {
+        let len = base + usize::from(s < extra);
+        ranges.push((start, len));
+        start += len;
+    }
+    ranges
 }
 
 #[cfg(test)]
@@ -173,11 +180,6 @@ mod tests {
         let c = ClusterConfig::emr(16);
         assert_eq!(c.map_slots_per_node, 4);
         assert_eq!(c.reduce_slots_per_node, 2);
-        assert_eq!(c.replication, 3);
-        assert_eq!(c.jobtracker_heap, 768 << 20);
-        assert_eq!(c.namenode_heap, 256 << 20);
-        assert_eq!(c.tasktracker_heap, 512 << 20);
-        assert_eq!(c.datanode_heap, 256 << 20);
     }
 
     #[test]
@@ -188,23 +190,9 @@ mod tests {
     }
 
     #[test]
-    fn replication_capped_by_nodes() {
-        assert_eq!(ClusterConfig::emr(1).replication, 1);
-        assert_eq!(ClusterConfig::emr(2).replication, 2);
-        assert_eq!(ClusterConfig::emr(5).replication, 3);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one node")]
     fn zero_nodes_panics() {
         ClusterConfig::emr(0);
-    }
-
-    #[test]
-    fn effective_threads_at_least_one() {
-        let c = ClusterConfig::single_node();
-        assert!(c.effective_threads(0) >= 1);
-        assert!(c.effective_threads(1000) >= 1);
     }
 
     #[test]
@@ -215,9 +203,9 @@ mod tests {
 
     #[test]
     fn emr_default_pins_the_shared_knob_set() {
-        // The knobs hoisted out of engine.rs/sim.rs and consumed by
-        // dasc-dist. Anything drifting here silently changes three
-        // executors at once, so the defaults are pinned exactly.
+        // The knobs shared by the simulator and dasc-dist. Anything
+        // drifting here silently changes every executor at once, so the
+        // defaults are pinned exactly.
         let c = ClusterConfig::emr_default();
         assert_eq!(c.map_waves_per_slot, 2);
         assert_eq!(c.max_task_attempts, 4);
@@ -230,5 +218,51 @@ mod tests {
         assert_eq!(c.rpc_backoff_base, Duration::from_millis(50));
         assert_eq!(c.rpc_backoff_max, Duration::from_secs(2));
         assert_eq!(c.rpc_max_connect_attempts, 8);
+    }
+
+    #[test]
+    fn desired_splits_bounds() {
+        assert_eq!(desired_splits(0, 4, 1024, 2), 0);
+        assert_eq!(desired_splits(3, 64, 1024, 2), 3);
+        assert_eq!(desired_splits(1_000, 4, 1024, 2), 8);
+        // Data-proportional once records exceed splits × slots.
+        assert_eq!(desired_splits(8_192, 4, 16, 2), 512);
+        assert_eq!(desired_splits(8_192, 4, 0, 2), 8_192);
+        // The waves floor is the configurable knob.
+        assert_eq!(desired_splits(1_000, 4, 1024, 4), 16);
+        assert_eq!(desired_splits(1_000, 4, 1024, 1), 4);
+    }
+
+    #[test]
+    fn split_ranges_cover_records_contiguously() {
+        let cfg = ClusterConfig::single_node(); // 4 map slots → 8 splits
+        let ranges = split_ranges(100, &cfg);
+        assert_eq!(
+            ranges.len(),
+            desired_splits(100, 4, cfg.records_per_split, cfg.map_waves_per_slot)
+        );
+        // Contiguous cover of 0..100; sizes differ by at most one,
+        // larger first.
+        let mut next = 0usize;
+        for &(start, len) in &ranges {
+            assert_eq!(start, next);
+            assert!(len == 13 || len == 12, "split of {len}");
+            next += len;
+        }
+        assert_eq!(next, 100);
+        assert_eq!(ranges[0].1, 13);
+        assert_eq!(ranges[7].1, 12);
+        assert!(split_ranges(0, &cfg).is_empty());
+    }
+
+    #[test]
+    fn waves_knob_from_config_drives_split_count() {
+        let mut cfg = ClusterConfig::single_node();
+        cfg.map_waves_per_slot = 1;
+        let one_wave = split_ranges(1_000, &cfg).len();
+        cfg.map_waves_per_slot = 3;
+        let three_waves = split_ranges(1_000, &cfg).len();
+        assert_eq!(one_wave, 4);
+        assert_eq!(three_waves, 12);
     }
 }

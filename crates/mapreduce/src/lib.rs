@@ -1,39 +1,21 @@
-//! In-process MapReduce engine with a simulated cluster topology.
+//! Cluster configuration, split plan and Table 3 makespan simulator.
 //!
 //! The DASC paper runs on Hadoop 0.20.2 — a five-node lab cluster and
 //! Amazon Elastic MapReduce with 16/32/64 nodes (Tables 2–3). This crate
-//! is the substitute substrate: a faithful, miniature MapReduce that
+//! holds what every DASC executor shares about that cluster:
 //!
-//! * executes real map → shuffle (partition + sort) → reduce phases on
-//!   real threads, bounded by the configured `nodes × slots` exactly the
-//!   way Hadoop task trackers bound concurrent tasks;
-//! * keeps per-task timing so the [`sim`] scheduler can replay the same
-//!   task bag on a *different* cluster size and report the makespan — the
-//!   mechanism behind the Table 3 elasticity experiment;
-//! * provides an in-memory replicated block store ([`dfs`]) standing in
-//!   for HDFS/S3.
-//!
-//! Determinism: the shuffle uses a seeded FNV-style partitioner and a
-//! stable sort, so a job's output is a pure function of its input and
-//! configuration regardless of thread interleaving.
+//! * [`ClusterConfig`] — the Table 2 slot layout plus the split-sizing,
+//!   retry and RPC knobs the `dasc-dist` runtime reads;
+//! * [`split_ranges`] — the stage-1 split plan, one map task per range;
+//! * [`JobStats`] and the [`sim`] scheduler — a run's measured task bag,
+//!   replayed on a *different* cluster size to report the makespan (the
+//!   mechanism behind the Table 3 elasticity experiment).
 
 pub mod config;
-pub mod counters;
-pub mod dfs;
-pub mod engine;
-pub mod job;
-pub mod jobflow;
-pub mod partition;
 pub mod sim;
 pub mod stats;
 
-pub use config::ClusterConfig;
-pub use counters::Counters;
-pub use dfs::{Dfs, DfsError};
-pub use engine::{reduce_groups, run_job, run_map_combine, run_map_only, split_ranges, JobOutput};
-pub use job::{FnMapper, FnReducer, Mapper, Reducer};
-pub use jobflow::{JobFlow, StepReport};
-pub use partition::hash_partition;
+pub use config::{split_ranges, ClusterConfig};
 pub use sim::{
     simulate_makespan, simulate_on_cluster, simulate_with_stragglers, simulate_with_stragglers_on,
     ScheduleReport, StragglerModel,

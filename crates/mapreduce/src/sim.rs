@@ -1,8 +1,8 @@
 //! Deterministic task-bag scheduler for elasticity experiments.
 //!
 //! The Table 3 experiment asks: given the *same* work, how does wall time
-//! change with 16, 32 or 64 nodes? The engine records every task's
-//! duration; this module replays a task bag onto an arbitrary slot count
+//! change with 16, 32 or 64 nodes? A distributed run records every
+//! task's duration; this module replays a task bag onto an arbitrary slot count
 //! using the greedy longest-processing-time (LPT) list-scheduling rule —
 //! the same earliest-available-slot behaviour a Hadoop job tracker
 //! exhibits once all tasks are queued.
@@ -112,8 +112,8 @@ pub fn simulate_with_stragglers(
 }
 
 /// [`simulate_with_stragglers`] on a specific cluster: slot count and
-/// speculation cap both come from `config`, so the simulator shares the
-/// engine's and `dasc-dist`'s knob set.
+/// speculation cap both come from `config`, so the simulator shares
+/// `dasc-dist`'s knob set.
 ///
 /// # Panics
 /// Panics if `config` admits zero map slots, `fraction ∉ [0, 1]`, or
@@ -239,7 +239,6 @@ mod tests {
         let stats = JobStats {
             map_task_durations: vec![ms(10); 8],
             reduce_task_durations: vec![ms(4); 4],
-            ..Default::default()
         };
         let rep = simulate_on_cluster(&stats, &ClusterConfig::emr(1));
         // 8 maps on 4 slots = 20ms; 4 reduces on 2 slots = 8ms.

@@ -6,25 +6,13 @@
 
 use std::time::Duration;
 
-/// Statistics collected while a MapReduce job executes.
+/// The measured task bag of one job stage.
 #[derive(Clone, Debug, Default)]
 pub struct JobStats {
     /// Wall-clock duration of each map task.
     pub map_task_durations: Vec<Duration>,
     /// Wall-clock duration of each reduce task.
     pub reduce_task_durations: Vec<Duration>,
-    /// Number of input records consumed.
-    pub input_records: usize,
-    /// Number of intermediate records shuffled.
-    pub shuffled_records: usize,
-    /// Number of distinct intermediate keys.
-    pub distinct_keys: usize,
-    /// Number of output records produced.
-    pub output_records: usize,
-    /// Task attempts that failed (panicked) and were rescheduled.
-    pub task_retries: usize,
-    /// End-to-end wall-clock time of the job on the executing host.
-    pub wall_time: Duration,
 }
 
 impl JobStats {
@@ -37,30 +25,6 @@ impl JobStats {
     pub fn num_reduce_tasks(&self) -> usize {
         self.reduce_task_durations.len()
     }
-
-    /// Total CPU-ish time across all tasks (sum of task durations).
-    pub fn total_task_time(&self) -> Duration {
-        self.map_task_durations
-            .iter()
-            .chain(&self.reduce_task_durations)
-            .sum()
-    }
-
-    /// Merge another job's stats into this one (for multi-stage
-    /// pipelines such as DASC's LSH stage followed by the clustering
-    /// stage).
-    pub fn merge(&mut self, other: &JobStats) {
-        self.map_task_durations
-            .extend_from_slice(&other.map_task_durations);
-        self.reduce_task_durations
-            .extend_from_slice(&other.reduce_task_durations);
-        self.input_records += other.input_records;
-        self.shuffled_records += other.shuffled_records;
-        self.distinct_keys += other.distinct_keys;
-        self.output_records += other.output_records;
-        self.task_retries += other.task_retries;
-        self.wall_time += other.wall_time;
-    }
 }
 
 #[cfg(test)]
@@ -68,36 +32,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn totals_sum_both_phases() {
+    fn task_counts_follow_durations() {
         let s = JobStats {
             map_task_durations: vec![Duration::from_millis(10), Duration::from_millis(20)],
             reduce_task_durations: vec![Duration::from_millis(5)],
-            ..Default::default()
         };
         assert_eq!(s.num_map_tasks(), 2);
         assert_eq!(s.num_reduce_tasks(), 1);
-        assert_eq!(s.total_task_time(), Duration::from_millis(35));
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = JobStats {
-            input_records: 10,
-            output_records: 2,
-            wall_time: Duration::from_secs(1),
-            ..Default::default()
-        };
-        let b = JobStats {
-            input_records: 5,
-            output_records: 3,
-            wall_time: Duration::from_secs(2),
-            map_task_durations: vec![Duration::from_millis(1)],
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.input_records, 15);
-        assert_eq!(a.output_records, 5);
-        assert_eq!(a.wall_time, Duration::from_secs(3));
-        assert_eq!(a.num_map_tasks(), 1);
     }
 }

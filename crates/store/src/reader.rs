@@ -48,7 +48,8 @@ impl Shard {
         let rows = expected.rows as usize;
         let d = dim as usize;
         let payload = &bytes[SHARD_HEADER_LEN..SHARD_HEADER_LEN + rows * d * 8];
-        let zero_copy = cfg!(target_endian = "little") && (payload.as_ptr() as usize).is_multiple_of(8);
+        let zero_copy =
+            cfg!(target_endian = "little") && (payload.as_ptr() as usize).is_multiple_of(8);
         let decoded = if zero_copy {
             None
         } else {

@@ -1,7 +1,6 @@
-//! Elastic execution on the MapReduce substrate.
+//! Elastic execution of the two DASC stages.
 //!
-//! Runs DASC as the paper's two MapReduce stages, stages bucket files
-//! through the replicated DFS (the S3 stand-in), and replays the
+//! Runs DASC as the paper's two MapReduce stages and replays the
 //! recorded task bag on Amazon-EMR-sized clusters of 4…64 nodes — the
 //! Table 3 elasticity mechanism end-to-end.
 //!
@@ -10,7 +9,6 @@
 //! ```
 
 use dasc::core::{Dasc, DascConfig};
-use dasc::mapreduce::Dfs;
 use dasc::prelude::*;
 
 fn main() {
@@ -22,7 +20,7 @@ fn main() {
     let truth = dataset.labels.as_ref().expect("labelled");
     let kernel = Kernel::gaussian_median_heuristic(&dataset.points);
 
-    // Execute once through the engine on the 5-machine lab profile.
+    // Execute once, with map tasks cut for the 5-machine lab profile.
     let mut lab = ClusterConfig::local_lab();
     lab.records_per_split = 64;
     let dasc = Dasc::new(
@@ -40,29 +38,8 @@ fn main() {
         accuracy(&result.clustering.assignments, truth)
     );
 
-    // Stage the per-bucket outputs on the replicated DFS, as the paper
-    // stages intermediate bucket files on S3 between job-flow steps.
-    let dfs = Dfs::new(lab.clone());
-    let (_, buckets) = dasc.partition(&dataset.points);
-    for (i, bucket) in buckets.buckets().iter().enumerate() {
-        let payload: Vec<u8> = bucket
-            .members
-            .iter()
-            .flat_map(|&m| (m as u32).to_le_bytes())
-            .collect();
-        dfs.put(&format!("/buckets/part-{i:05}"), payload)
-            .expect("fresh path");
-    }
-    println!(
-        "dfs: {} bucket files, {} KB logical, {} KB stored (x{} replication)",
-        dfs.list("/buckets/").len(),
-        dfs.logical_bytes() / 1024,
-        dfs.total_stored_bytes() / 1024,
-        lab.replication
-    );
-
     // Elasticity: replay the recorded task bag on growing clusters.
-    println!("\n{:>6} {:>14} {:>9}", "nodes", "sim time (ms)", "speedup");
+    println!("{:>6} {:>14} {:>9}", "nodes", "sim time (ms)", "speedup");
     let base = result.simulate_total(&ClusterConfig::emr(4));
     for nodes in [4usize, 8, 16, 32, 64] {
         let t = result.simulate_total(&ClusterConfig::emr(nodes));

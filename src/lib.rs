@@ -30,8 +30,8 @@ pub use dasc_serve as serve;
 /// Commonly used items, re-exported for `use dasc::prelude::*`.
 pub mod prelude {
     pub use dasc_core::{
-        distributed_kmeans, Dasc, DascConfig, DascRegressor, DascTrained, KMeans, KMeansConfig,
-        Nystrom, NystromConfig, ParallelSpectral, PscConfig, SpectralClustering, SpectralConfig,
+        Dasc, DascConfig, DascRegressor, DascTrained, KMeans, KMeansConfig, Nystrom, NystromConfig,
+        ParallelSpectral, PscConfig, SpectralClustering, SpectralConfig,
     };
     pub use dasc_data::{Dataset, SyntheticConfig, WikiCorpusConfig};
     pub use dasc_dist::{Coordinator, JobClient, JobSpec, WorkerOptions};

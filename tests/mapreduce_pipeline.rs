@@ -1,47 +1,11 @@
-//! Integration tests of the MapReduce substrate in combination with the
-//! DASC stages: deterministic jobs, DFS staging, elasticity replay.
+//! Integration tests of the distributed DASC stages with the cluster
+//! configuration: split plan, task bag, elasticity replay.
 
 use std::time::Duration;
 
 use dasc::core::{Dasc, DascConfig};
-use dasc::mapreduce::{run_job, simulate_makespan, ClusterConfig, Dfs, FnMapper, FnReducer};
+use dasc::mapreduce::{simulate_makespan, split_ranges, ClusterConfig};
 use dasc::prelude::*;
-
-#[test]
-fn engine_output_is_identical_across_cluster_sizes() {
-    // A job whose reducer output depends on value order — the stable
-    // shuffle must make it cluster-size independent.
-    let mapper = FnMapper::new(
-        |i: usize, v: u32, emit: &mut dyn FnMut(u32, (usize, u32))| {
-            emit(v % 5, (i, v));
-        },
-    );
-    let reducer = FnReducer::new(
-        |key: u32, vs: Vec<(usize, u32)>, emit: &mut dyn FnMut(String)| {
-            let ids: Vec<String> = vs.iter().map(|(i, _)| i.to_string()).collect();
-            emit(format!("{key}:{}", ids.join(",")));
-        },
-    );
-    let inputs: Vec<(usize, u32)> = (0..200u32).map(|v| (v as usize, v * 7)).collect();
-
-    // Output *order* follows partition layout (reducer count), exactly
-    // as Hadoop's part-files do; the record *set* — including the value
-    // order inside each key group — must be identical.
-    let mut a = run_job(
-        &mapper,
-        &reducer,
-        inputs.clone(),
-        &ClusterConfig::single_node(),
-    )
-    .records;
-    let mut b = run_job(&mapper, &reducer, inputs.clone(), &ClusterConfig::emr(16)).records;
-    let mut c = run_job(&mapper, &reducer, inputs, &ClusterConfig::emr(64)).records;
-    a.sort();
-    b.sort();
-    c.sort();
-    assert_eq!(a, b);
-    assert_eq!(b, c);
-}
 
 #[test]
 fn dasc_distributed_records_replayable_task_bag() {
@@ -84,36 +48,6 @@ fn makespan_bounds_hold() {
 }
 
 #[test]
-fn dfs_stages_bucket_files_between_jobs() {
-    let mut cfg = ClusterConfig::emr(4);
-    cfg.block_size = 128;
-    let dfs = Dfs::new(cfg);
-
-    let ds = SyntheticConfig::blobs(200, 8, 4).seed(2).generate();
-    let dasc = Dasc::new(DascConfig::for_dataset(200, 4));
-    let (_, buckets) = dasc.partition(&ds.points);
-    for (i, b) in buckets.buckets().iter().enumerate() {
-        let bytes: Vec<u8> = b
-            .members
-            .iter()
-            .flat_map(|&m| (m as u32).to_le_bytes())
-            .collect();
-        dfs.put(&format!("/stage1/bucket-{i:04}"), bytes).unwrap();
-    }
-
-    // Stage 2 reads every staged file back and recovers the partition.
-    let mut recovered = 0usize;
-    for path in dfs.list("/stage1/") {
-        let data = dfs.get(&path).unwrap();
-        assert_eq!(data.len() % 4, 0);
-        recovered += data.len() / 4;
-    }
-    assert_eq!(recovered, 200);
-    // Replication triples storage.
-    assert_eq!(dfs.total_stored_bytes(), 3 * dfs.logical_bytes());
-}
-
-#[test]
 fn stats_reflect_job_structure() {
     let ds = SyntheticConfig::blobs(256, 8, 4).seed(3).generate();
     let kernel = Kernel::gaussian_median_heuristic(&ds.points);
@@ -121,9 +55,15 @@ fn stats_reflect_job_structure() {
     executor.records_per_split = 32;
     let result = Dasc::new(DascConfig::for_dataset(256, 4).kernel(kernel))
         .run_distributed(&ds.points, &executor);
-    assert_eq!(result.stage1.input_records, 256);
-    assert_eq!(result.stage1.shuffled_records, 256);
+    // One map task per split of the plan, one reduce task per bucket,
+    // and each stage records only its own phase.
+    assert_eq!(
+        result.stage1.num_map_tasks(),
+        split_ranges(256, &executor).len()
+    );
     assert!(result.stage1.num_map_tasks() >= 256 / 32);
+    assert_eq!(result.stage1.num_reduce_tasks(), 0);
+    assert_eq!(result.stage2.num_map_tasks(), 0);
     assert_eq!(result.stage2.num_reduce_tasks(), result.num_buckets);
     assert_eq!(result.clustering.len(), 256);
 }
