@@ -91,43 +91,6 @@ fn bench_kmeans(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_consumers(c: &mut Criterion) {
-    // The three downstream consumers of the approximate Gram matrix:
-    // spectral clustering is covered end-to-end in `ablations`; here the
-    // ridge and KPCA solves, exact vs block-diagonal.
-    let mut g = c.benchmark_group("consumers");
-    g.sample_size(10);
-    let n = 512usize;
-    let ds = SyntheticConfig::blobs(n, 16, 8).generate();
-    let kernel = Kernel::gaussian(0.3);
-    let targets: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
-    let model = SignatureModel::fit(&ds.points, &LshConfig::with_bits(3));
-    let buckets = BucketSet::from_signatures(&model.hash_all(&ds.points));
-    let gram = ApproximateGram::from_buckets(&ds.points, &buckets, &kernel);
-
-    g.bench_function("ridge_exact", |b| {
-        b.iter(|| {
-            black_box(dasc_kernel::RidgeModel::fit_exact(
-                &ds.points, &targets, kernel, 1e-3,
-            ))
-        })
-    });
-    g.bench_function("ridge_blocks", |b| {
-        b.iter(|| {
-            black_box(dasc_kernel::RidgeModel::fit_blocks(
-                &gram, &targets, kernel, 1e-3,
-            ))
-        })
-    });
-    g.bench_function("kpca_exact_8d", |b| {
-        b.iter(|| black_box(dasc_kernel::kernel_pca(&ds.points, &kernel, 8)))
-    });
-    g.bench_function("kpca_blocks_8d", |b| {
-        b.iter(|| black_box(dasc_kernel::kernel_pca_blocks(&gram, 8)))
-    });
-    g.finish();
-}
-
 fn bench_metrics(c: &mut Criterion) {
     let mut g = c.benchmark_group("metrics");
     g.sample_size(20);
@@ -190,7 +153,6 @@ criterion_group!(
     bench_gram,
     bench_eigensolvers,
     bench_kmeans,
-    bench_consumers,
     bench_metrics,
     bench_kdtree
 );

@@ -12,7 +12,7 @@ use dasc_core::{
 use dasc_data::{dataset_from_store, pack_csv_to_store, SyntheticConfig, WikiCorpusConfig};
 use dasc_dist::{Coordinator, JobClient, JobData, JobSpec, WorkerOptions};
 use dasc_kernel::Kernel;
-use dasc_lsh::LshConfig;
+use dasc_lsh::{LshConfig, Signature};
 use dasc_mapreduce::ClusterConfig;
 use dasc_metrics::{accuracy, nmi};
 use dasc_serve::{AssignmentEngine, ModelArtifact, Server, ServerConfig};
@@ -218,6 +218,17 @@ fn with_tracing<T>(
     Ok((out, extra))
 }
 
+/// `--bits` must name a signature width the LSH model can hold.
+fn check_bits(bits: Option<usize>) -> Result<(), String> {
+    match bits {
+        Some(m) if !(1..=Signature::MAX_BITS).contains(&m) => Err(format!(
+            "--bits must be in 1..={}, got {m}",
+            Signature::MAX_BITS
+        )),
+        _ => Ok(()),
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn cluster(
     input: Option<&str>,
@@ -234,6 +245,7 @@ fn cluster(
     if k == 0 {
         return Err("--k must be at least 1".to_string());
     }
+    check_bits(bits)?;
     let (points, labels) = load_points(input, data, labels_last_column)?;
     let n = points.len();
     let kernel = match sigma {
@@ -366,6 +378,7 @@ fn cluster_dist(
     if k == 0 {
         return Err("--k must be at least 1".to_string());
     }
+    check_bits(bits)?;
     let (points, labels) = load_points(input, data, labels_last_column)?;
     let n = points.len();
     let kernel = match sigma {
@@ -607,6 +620,7 @@ fn train(
     if k == 0 {
         return Err("--k must be at least 1".to_string());
     }
+    check_bits(bits)?;
     let file = File::open(input).map_err(|e| format!("open {input}: {e}"))?;
     let (points, labels) = csv::read_points(BufReader::new(file), labels_last_column)
         .map_err(|e| format!("{input}: {e}"))?;

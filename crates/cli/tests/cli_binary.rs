@@ -154,3 +154,50 @@ fn missing_file_reports_cleanly() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("open"), "stderr: {err}");
 }
+
+#[test]
+fn out_of_range_bits_exit_2_with_a_typed_error() {
+    let data = tmp("bits.csv");
+    let model = tmp("bits.dasc");
+    let out = Command::new(dasc_bin())
+        .args([
+            "generate", "--kind", "blobs", "--n", "40", "--d", "4", "--k", "2", "--output", &data,
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+
+    for bits in ["0", "65"] {
+        let runs: [&[&str]; 3] = [
+            &["cluster", "--input", &data, "--k", "2", "--bits", bits],
+            &[
+                "cluster", "--input", &data, "--k", "2", "--dist", "local", "--bits", bits,
+            ],
+            &[
+                "train",
+                "--input",
+                &data,
+                "--k",
+                "2",
+                "--model-out",
+                &model,
+                "--bits",
+                bits,
+            ],
+        ];
+        for args in runs {
+            let out = Command::new(dasc_bin())
+                .args(args)
+                .output()
+                .expect("binary runs");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+            assert!(
+                err.starts_with("error: --bits must be in 1..=64"),
+                "{args:?}: {err}"
+            );
+        }
+    }
+    assert!(!std::path::Path::new(&model).exists());
+    let _ = std::fs::remove_file(&data);
+}

@@ -14,8 +14,9 @@
 
 use dasc_linalg::{lanczos, symmetric_eigen, symmetric_eigen_topk, LanczosOptions, Matrix};
 
-/// The resolved eigensolver route for one embedding
-/// (`EigenBackend` is the *policy*; this is the *choice* it made).
+/// The resolved eigensolver route for one embedding: the choice
+/// [`resolve_eigen_path`] made, or the one a caller of
+/// [`top_eigenvectors_with`] forces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EigenPath {
     /// Full Householder + QL with `O(n³)` rotation accumulation.
@@ -64,7 +65,7 @@ pub fn resolve_eigen_path(n: usize, k: usize, lanczos_threshold: usize) -> Eigen
 
 /// Scale a dense similarity matrix into the symmetric normalized
 /// Laplacian `L = D^{−1/2} S D^{−1/2}` (Eq. 2) **in place**, returning
-/// the degree vector (callers of the random-walk variant reuse it).
+/// the degree vector.
 ///
 /// Isolated vertices (zero degree) keep zero rows, matching the sparse
 /// convention.

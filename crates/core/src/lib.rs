@@ -29,7 +29,6 @@ pub mod kmeans;
 pub mod local_scaling;
 pub mod nystrom_sc;
 pub mod psc;
-pub mod regression;
 pub mod spectral;
 pub mod stages;
 
@@ -46,11 +45,7 @@ pub use kmeans::{AssignPath, KMeans, KMeansConfig, KMeansResult};
 pub use local_scaling::{local_scales, local_scaling_similarity};
 pub use nystrom_sc::{Nystrom, NystromConfig, NystromResult};
 pub use psc::{ParallelSpectral, PscConfig, PscResult};
-pub use regression::DascRegressor;
-pub use spectral::{
-    EigenBackend, LaplacianKind, SpectralBreakdown, SpectralClustering, SpectralConfig,
-    SpectralResult,
-};
+pub use spectral::{SpectralBreakdown, SpectralClustering, SpectralConfig, SpectralResult};
 pub use stages::{
     check_reduce_records, map_signatures, merge_signature_groups, reduce_bucket,
     stitch_distributed, CoverageError,

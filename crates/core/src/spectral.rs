@@ -14,35 +14,6 @@ use crate::embedding::{
 use crate::kmeans::{KMeans, KMeansConfig};
 use crate::Clustering;
 
-/// Which eigensolver the spectral pipeline uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EigenBackend {
-    /// Always the full dense Householder + QL path (`O(n³)`).
-    Dense,
-    /// Always the k-targeted dense path (factored Householder +
-    /// eigenvalues-only QL + inverse iteration, `O(n²k)` past the
-    /// reduction).
-    DenseK,
-    /// Always Lanczos.
-    Lanczos,
-    /// Full dense for tiny/nearly-full problems, dense-k below the
-    /// threshold, Lanczos above (default threshold:
-    /// [`LANCZOS_THRESHOLD`]).
-    Auto,
-}
-
-/// Which normalized Laplacian drives the embedding.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LaplacianKind {
-    /// `L = D^{−1/2} S D^{−1/2}` with row-normalized eigenvectors —
-    /// Ng–Jordan–Weiss, the paper's Eq. 2 (default).
-    Symmetric,
-    /// The random-walk operator `D^{−1} S` (Shi–Malik): its
-    /// eigenvectors are `D^{−1/2} v` for the symmetric operator's `v`,
-    /// used without row normalization.
-    RandomWalk,
-}
-
 /// Spectral clustering configuration.
 #[derive(Clone, Debug)]
 pub struct SpectralConfig {
@@ -50,35 +21,23 @@ pub struct SpectralConfig {
     pub k: usize,
     /// Kernel for the similarity matrix (paper: Gaussian, Eq. 1).
     pub kernel: Kernel,
-    /// Eigensolver selection.
-    pub backend: EigenBackend,
-    /// Dense→Lanczos crossover for [`EigenBackend::Auto`].
+    /// Dense→Lanczos crossover handed to [`resolve_eigen_path`].
     pub lanczos_threshold: usize,
-    /// Laplacian normalization variant.
-    pub laplacian: LaplacianKind,
     /// RNG seed (K-means seeding, Lanczos start vector).
     pub seed: u64,
 }
 
 impl SpectralConfig {
-    /// Defaults: Gaussian kernel σ = 0.2 (unit-normalized data),
-    /// automatic eigensolver.
+    /// Defaults: Gaussian kernel σ = 0.2 (unit-normalized data), the
+    /// [`LANCZOS_THRESHOLD`] crossover.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "spectral clustering needs k >= 1");
         Self {
             k,
             kernel: Kernel::gaussian(0.2),
-            backend: EigenBackend::Auto,
             lanczos_threshold: LANCZOS_THRESHOLD,
-            laplacian: LaplacianKind::Symmetric,
             seed: 0x5BEC,
         }
-    }
-
-    /// Builder: Laplacian variant.
-    pub fn laplacian(mut self, kind: LaplacianKind) -> Self {
-        self.laplacian = kind;
-        self
     }
 
     /// Builder: kernel.
@@ -90,12 +49,6 @@ impl SpectralConfig {
     /// Builder: seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder: eigensolver backend.
-    pub fn backend(mut self, backend: EigenBackend) -> Self {
-        self.backend = backend;
         self
     }
 }
@@ -204,15 +157,10 @@ impl SpectralClustering {
 
         let lap_span = span!("dasc.cluster.laplacian");
         let mut l = similarity;
-        let degrees = normalized_laplacian_inplace(&mut l);
+        normalized_laplacian_inplace(&mut l);
         breakdown.laplacian = lap_span.finish();
 
-        let path = match self.config.backend {
-            EigenBackend::Dense => EigenPath::DenseFull,
-            EigenBackend::DenseK => EigenPath::DenseK,
-            EigenBackend::Lanczos => EigenPath::Lanczos,
-            EigenBackend::Auto => resolve_eigen_path(n, k, self.config.lanczos_threshold),
-        };
+        let path = resolve_eigen_path(n, k, self.config.lanczos_threshold);
         breakdown.path = path;
         let eigen_span = span!("dasc.cluster.eigen");
         let mut v = top_eigenvectors_with(&l, k, path, self.config.seed);
@@ -220,23 +168,7 @@ impl SpectralClustering {
         breakdown.eigen = eigen_span.finish();
 
         let km_span = span!("dasc.cluster.kmeans");
-        match self.config.laplacian {
-            LaplacianKind::Symmetric => row_normalize(&mut v),
-            LaplacianKind::RandomWalk => {
-                // D^{-1} S shares eigenvectors with the symmetric form up
-                // to the D^{-1/2} change of basis; no row normalization.
-                for i in 0..n {
-                    let scale = if degrees[i] > 0.0 {
-                        1.0 / degrees[i].sqrt()
-                    } else {
-                        0.0
-                    };
-                    for j in 0..k {
-                        v[(i, j)] *= scale;
-                    }
-                }
-            }
-        }
+        row_normalize(&mut v);
         let km = KMeans::new(KMeansConfig::new(k).seed(self.config.seed));
         // The embedding is already row-major `n × k`; hand it to k-means
         // as a flat buffer instead of re-nesting it into Vec<Vec<f64>>.
@@ -314,6 +246,18 @@ mod tests {
         assert!(res.clustering.num_clusters <= 2);
     }
 
+    /// Labels from the spectral tail with the eigen route forced.
+    fn labels_on_path(pts: &[Vec<f64>], k: usize, path: EigenPath) -> Vec<usize> {
+        let cfg = SpectralConfig::new(k);
+        let mut l = full_gram_flat(&FlatPoints::from_rows(pts), &cfg.kernel);
+        normalized_laplacian_inplace(&mut l);
+        let mut v = top_eigenvectors_with(&l, k, path, cfg.seed);
+        row_normalize(&mut v);
+        let km = KMeans::new(KMeansConfig::new(k).seed(cfg.seed));
+        km.run_flat(&FlatPoints::from_flat(v.into_vec(), k))
+            .assignments
+    }
+
     #[test]
     fn dense_and_lanczos_backends_agree() {
         let mut pts = Vec::new();
@@ -321,45 +265,11 @@ mod tests {
             pts.push(vec![0.1 + 0.002 * i as f64, 0.2]);
             pts.push(vec![0.8 + 0.002 * i as f64, 0.9]);
         }
-        let dense =
-            SpectralClustering::new(SpectralConfig::new(2).backend(EigenBackend::Dense)).run(&pts);
-        let lz = SpectralClustering::new(SpectralConfig::new(2).backend(EigenBackend::Lanczos))
-            .run(&pts);
-        assert_eq!(
-            agreement(&dense.clustering.assignments, &lz.clustering.assignments),
-            1.0
-        );
-    }
-
-    #[test]
-    fn random_walk_laplacian_matches_symmetric_on_blobs() {
-        let mut pts = Vec::new();
-        let mut truth = Vec::new();
-        for i in 0..25 {
-            pts.push(vec![0.1 + 0.002 * i as f64, 0.2]);
-            truth.push(0);
-            pts.push(vec![0.8 + 0.002 * i as f64, 0.9]);
-            truth.push(1);
+        let dense = labels_on_path(&pts, 2, EigenPath::DenseFull);
+        for path in [EigenPath::DenseK, EigenPath::Lanczos] {
+            let other = labels_on_path(&pts, 2, path);
+            assert_eq!(agreement(&dense, &other), 1.0, "{path:?}");
         }
-        let rw =
-            SpectralClustering::new(SpectralConfig::new(2).laplacian(LaplacianKind::RandomWalk))
-                .run(&pts);
-        assert_eq!(agreement(&rw.clustering.assignments, &truth), 1.0);
-        let sym = SpectralClustering::new(SpectralConfig::new(2)).run(&pts);
-        assert_eq!(
-            agreement(&rw.clustering.assignments, &sym.clustering.assignments),
-            1.0
-        );
-    }
-
-    #[test]
-    fn random_walk_handles_rings() {
-        let (pts, truth) = two_rings_free();
-        let cfg = SpectralConfig::new(2)
-            .kernel(Kernel::gaussian(0.05))
-            .laplacian(LaplacianKind::RandomWalk);
-        let res = SpectralClustering::new(cfg).run(&pts);
-        assert!(agreement(&res.clustering.assignments, &truth) > 0.95);
     }
 
     #[test]

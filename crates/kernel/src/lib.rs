@@ -10,12 +10,10 @@
 //! * [`full_gram`] — the exact `N×N` matrix (the O(N²) baseline);
 //! * [`ApproximateGram`] — the block-diagonal approximation induced by
 //!   LSH buckets, storing only `Σ Nᵢ²` entries;
-//! * [`nystrom_eigen`] — the Nyström low-rank alternative used by the
-//!   NYST baseline (Williams & Seeger / Schuetter & Shi);
-//! * Frobenius-norm comparison (Eqs. 22–24) behind Figure 5;
-//! * downstream consumers beyond clustering: kernel ridge regression,
-//!   an LS-SVM classifier, and kernel PCA, each runnable on either the
-//!   exact or the block-diagonal matrix.
+//! * Frobenius-norm comparison (Eqs. 22–24) behind Figure 5.
+//!
+//! The NYST baseline builds its own landmark extension in
+//! `dasc_core::nystrom_sc`; nothing here is specific to it.
 //!
 //! ```
 //! use dasc_kernel::{full_gram, Kernel};
@@ -28,20 +26,12 @@
 //! ```
 
 pub mod approx;
-pub mod classifier;
 pub mod functions;
 pub mod gram;
-pub mod kpca;
-pub mod nystrom;
-pub mod ridge;
 
 pub use approx::{ApproximateGram, GramBlock};
-pub use classifier::KernelClassifier;
 pub use functions::{Kernel, TileBasis};
 pub use gram::{
     full_gram, full_gram_flat, full_gram_flat_scalar, full_gram_flat_tiled, gram_memory_bytes,
     TILED_MIN_POINTS,
 };
-pub use kpca::{center_gram, kernel_pca, kernel_pca_blocks, BlockKpca, KpcaEmbedding};
-pub use nystrom::{nystrom_eigen, NystromEigen};
-pub use ridge::RidgeModel;

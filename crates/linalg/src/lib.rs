@@ -12,9 +12,15 @@
 //!   tridiagonal form (the transformation the paper describes ahead of QR).
 //! * [`SymmetricEigen`] — full symmetric eigendecomposition via implicit
 //!   QL with Wilkinson shifts on the tridiagonal form.
+//! * [`symmetric_eigen_topk`] — the `k` leading eigenpairs without the
+//!   `O(n³)` accumulation: factored reduction, eigenvalues-only QL,
+//!   inverse iteration, blocked back-transform.
 //! * [`lanczos`] — Lanczos iteration with full reorthogonalization for the
 //!   leading eigenpairs of any [`MatVec`] operator (PARPACK substitute).
-//! * [`qr`] — Householder QR used for orthonormalization (Nyström).
+//! * [`qr`] — Householder QR, the NYST baseline's orthonormalization.
+//!
+//! Only what the spectral pipelines call lives here: there is no
+//! general-purpose solver (Cholesky, SVD) on the paper's path.
 //!
 //! Everything is `f64` and deterministic within a kernel backend: the
 //! hot gemm/dot/axpy primitives dispatch once per process to a SIMD
@@ -32,7 +38,6 @@
 //! assert!((eig.eigenvalues[1] - 3.0).abs() < 1e-12);
 //! ```
 
-pub mod cholesky;
 pub mod dense;
 pub mod eigen;
 pub mod eigen_k;
@@ -43,11 +48,9 @@ pub mod points;
 pub mod qr;
 pub mod simd;
 pub mod sparse;
-pub mod svd;
 pub mod tridiag;
 pub mod vector;
 
-pub use cholesky::{Cholesky, NotPositiveDefinite};
 pub use dense::Matrix;
 pub use eigen::{symmetric_eigen, tridiagonal_eigen, SymmetricEigen};
 pub use eigen_k::{
@@ -60,5 +63,4 @@ pub use points::{FlatPoints, FlatPointsView, PointsView};
 pub use qr::{qr, QrDecomposition};
 pub use simd::KernelBackend;
 pub use sparse::{CooBuilder, CsrMatrix};
-pub use svd::{energy_captured, numerical_rank, singular_values};
 pub use tridiag::{tridiagonalize, tridiagonalize_factored, FactoredTridiagonal, Tridiagonal};

@@ -18,6 +18,11 @@
 //! p-stable, and a spectral-hashing-style PCA hash — are provided for
 //! the ablation studies in `dasc-bench` and for skewed data.
 //!
+//! A signature packs into one `u64`, so `M` is at most
+//! [`Signature::MAX_BITS`] = 64; the paper's rule never asks for more
+//! than 15. [`KdTree`] serves exact t-nearest-neighbour queries to the
+//! PSC baseline and the self-tuning similarity.
+//!
 //! ```
 //! use dasc_lsh::{BucketSet, LshConfig, SignatureModel};
 //!
@@ -37,7 +42,6 @@ pub mod family;
 pub mod kdtree;
 pub mod model;
 pub mod signature;
-pub mod wide;
 
 pub use bucket::BucketSet;
 pub use config::{DimensionSelection, LshConfig, MergeStrategy, ThresholdRule};
@@ -45,7 +49,6 @@ pub use family::{MinHash, PStableLsh, PcaHash, SignRandomProjection};
 pub use kdtree::KdTree;
 pub use model::{HashPlane, SignatureModel};
 pub use signature::Signature;
-pub use wide::WideSignature;
 
 /// The paper's default signature width: `M = ⌈log₂ N⌉ / 2 − 1`,
 /// clamped to at least one bit (Section 5.4).

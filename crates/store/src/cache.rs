@@ -150,8 +150,22 @@ impl ShardCache {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::MutexGuard;
+
     use super::*;
     use crate::format::encode_shard;
+
+    /// Every `get_or_fetch` moves the process-global
+    /// `dasc_store_shard_cache_*` counters, and the lifecycle test
+    /// asserts their exact deltas, so the tests of this module run one
+    /// at a time.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        SERIAL
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     fn shard_bytes(index: u32, rows: usize, dim: usize, fill: f64) -> (Vec<u8>, ShardMeta) {
         let pts: Vec<f64> = (0..rows * dim).map(|i| fill + i as f64).collect();
@@ -160,6 +174,7 @@ mod tests {
 
     #[test]
     fn hit_miss_eviction_lifecycle_with_counters() {
+        let _serial = serial();
         let reg = dasc_obs::global();
         let hits0 = reg.counter_value("dasc_store_shard_cache_hits_total");
         let miss0 = reg.counter_value("dasc_store_shard_cache_misses_total");
@@ -201,6 +216,7 @@ mod tests {
 
     #[test]
     fn corrupt_fetch_never_enters_cache() {
+        let _serial = serial();
         let (mut bytes, meta) = shard_bytes(0, 4, 2, 1.0);
         bytes[crate::format::SHARD_HEADER_LEN] ^= 0xFF;
         let cache = ShardCache::new(1 << 20);
@@ -213,6 +229,7 @@ mod tests {
 
     #[test]
     fn fetch_error_propagates() {
+        let _serial = serial();
         let (_, meta) = shard_bytes(0, 2, 2, 0.0);
         let cache = ShardCache::new(1 << 20);
         let err = cache
@@ -225,6 +242,7 @@ mod tests {
 
     #[test]
     fn oversized_shard_served_but_not_retained() {
+        let _serial = serial();
         let (b, m) = shard_bytes(0, 64, 8, 0.0);
         let cache = ShardCache::new(16); // smaller than any shard
         let s = cache
@@ -236,6 +254,7 @@ mod tests {
 
     #[test]
     fn different_datasets_do_not_collide() {
+        let _serial = serial();
         let (b, m) = shard_bytes(0, 4, 2, 1.0);
         let cache = ShardCache::new(1 << 20);
         cache

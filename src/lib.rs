@@ -30,12 +30,12 @@ pub use dasc_serve as serve;
 /// Commonly used items, re-exported for `use dasc::prelude::*`.
 pub mod prelude {
     pub use dasc_core::{
-        Dasc, DascConfig, DascRegressor, DascTrained, KMeans, KMeansConfig, Nystrom, NystromConfig,
+        Dasc, DascConfig, DascTrained, KMeans, KMeansConfig, Nystrom, NystromConfig,
         ParallelSpectral, PscConfig, SpectralClustering, SpectralConfig,
     };
     pub use dasc_data::{Dataset, SyntheticConfig, WikiCorpusConfig};
     pub use dasc_dist::{Coordinator, JobClient, JobSpec, WorkerOptions};
-    pub use dasc_kernel::{ApproximateGram, Kernel, RidgeModel};
+    pub use dasc_kernel::{ApproximateGram, Kernel};
     pub use dasc_lsh::{LshConfig, MergeStrategy, SignatureModel, ThresholdRule};
     pub use dasc_mapreduce::ClusterConfig;
     pub use dasc_metrics::{accuracy, ase, davies_bouldin, fnorm_ratio, nmi};

@@ -176,39 +176,6 @@ proptest! {
     }
 
     #[test]
-    fn cholesky_solves_spd_systems(points in points_strategy(12, 3), reg in 0.1f64..5.0) {
-        // Gaussian Gram + reg·I is SPD.
-        let mut g = full_gram(&points, &Kernel::gaussian(0.5));
-        let n = g.nrows();
-        for i in 0..n {
-            g[(i, i)] += reg;
-        }
-        let ch = dasc::linalg::Cholesky::new(&g).expect("SPD");
-        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let x = ch.solve(&b);
-        let mut gx = vec![0.0; n];
-        g.matvec_into(&x, &mut gx);
-        for (l, r) in gx.iter().zip(&b) {
-            prop_assert!((l - r).abs() < 1e-7, "residual {}", (l - r).abs());
-        }
-    }
-
-    #[test]
-    fn wide_signature_agrees_with_packed(bits in any::<u64>(), other in any::<u64>()) {
-        use dasc::lsh::WideSignature;
-        let (a, b) = (Signature::from_bits(bits, 64), Signature::from_bits(other, 64));
-        let mut wa = WideSignature::zero(64);
-        let mut wb = WideSignature::zero(64);
-        for i in 0..64 {
-            wa.set(i, a.get(i));
-            wb.set(i, b.get(i));
-        }
-        prop_assert_eq!(wa.hamming(&wb), a.hamming(&b));
-        prop_assert_eq!(wa.differs_by_one(&wb), a.differs_by_one(&b));
-        prop_assert_eq!(wa.to_packed(), a);
-    }
-
-    #[test]
     fn pca_hash_bits_are_roughly_balanced(points in points_strategy(60, 3)) {
         prop_assume!(points.len() >= 10);
         // Skip degenerate inputs where all points coincide.
