@@ -36,10 +36,12 @@ struct Run {
 }
 
 impl Run {
-    /// Effective Gram-stage throughput in GFLOP/s, counting the
-    /// micro-kernel's norm-expansion work: `2d` flops per stored entry
-    /// (the `A·Bᵀ` multiply-adds; the norm/exp passes are O(n) and O(1)
-    /// per entry and are left out, so this slightly undercounts).
+    /// Effective Gram throughput in GFLOP/s per busy worker, counting
+    /// the micro-kernel's norm-expansion work: `2d` flops per stored
+    /// entry (the `A·Bᵀ` multiply-adds; the norm/exp passes are O(n) and
+    /// O(1) per entry and are left out, so this slightly undercounts).
+    /// `times.gram` sums the per-bucket Gram times, so parallel buckets
+    /// do not inflate the figure.
     fn gram_gflops(&self) -> f64 {
         let gram_s = self.result.times.gram.as_secs_f64();
         if gram_s <= 0.0 {

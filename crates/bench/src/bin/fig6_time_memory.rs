@@ -82,13 +82,13 @@ fn main() {
 
         // Per-stage DASC breakdown from the traced spans (top-level
         // pipeline stages only; dasc.cluster includes its per-bucket
-        // children).
+        // children, dasc.gram among them, so gram is not added again).
         let stage = |name: &str| -> String {
             stage_totals
                 .get(name)
                 .map_or_else(|| "-".to_string(), |(_, d)| secs(*d))
         };
-        let accounted: Duration = ["dasc.lsh", "dasc.bucket", "dasc.gram", "dasc.cluster"]
+        let accounted: Duration = ["dasc.lsh", "dasc.bucket", "dasc.cluster"]
             .iter()
             .filter_map(|s| stage_totals.get(*s).map(|(_, d)| *d))
             .sum();

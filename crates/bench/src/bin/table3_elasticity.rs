@@ -48,7 +48,7 @@ fn main() {
         &format!(
             "Table 3: DASC on EMR clusters (N = {n}, K = {k}, {} buckets, \
              {} map + {} reduce tasks)",
-            result.num_buckets,
+            result.buckets.len(),
             result.stage1.num_map_tasks(),
             result.stage2.num_reduce_tasks()
         ),

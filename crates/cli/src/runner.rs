@@ -404,7 +404,7 @@ fn cluster_dist(
             res.clustering.assignments,
             format!(
                 "dist(local): {} buckets, {} map + {} reduce tasks, {} records shuffled{trace_report}",
-                res.num_buckets,
+                res.buckets.len(),
                 res.stage1.map_task_durations.len(),
                 res.stage2.reduce_task_durations.len(),
                 n,

@@ -1,30 +1,30 @@
 //! The DASC algorithm (Section 3): LSH partitioning, bucket merging,
-//! per-bucket approximate kernel blocks, per-bucket spectral clustering —
-//! runnable serially (rayon over buckets) or as the paper's two
-//! MapReduce stages, whose task bodies live in [`crate::stages`].
+//! per-bucket approximate kernel blocks, per-bucket spectral clustering
+//! — run as the paper's two MapReduce stages on the local pool, through
+//! the task bodies in [`crate::stages`] that the `dasc-dist` workers
+//! run too.
 //!
 //! Every stage is traced with `dasc-obs` spans (`dasc.lsh`,
-//! `dasc.bucket`, `dasc.gram`, `dasc.cluster`, `dasc.consolidate`, and
-//! the `dasc.stage1`/`dasc.stage2` distributed counterparts); the same
-//! guards produce [`DascStageTimes`], so the struct and a trace of the
-//! run can never disagree. Run-level totals land in the global metrics
-//! registry (`dasc_runs_total`, `dasc_points_total`,
+//! `dasc.bucket`, `dasc.cluster` with one `dasc.cluster.bucket` per
+//! reduce task and a `dasc.gram` inside each, and `dasc.consolidate`);
+//! the same guards produce [`DascStageTimes`], so the struct and a trace
+//! of the run can never disagree. Run-level totals land in the global
+//! metrics registry (`dasc_runs_total`, `dasc_points_total`,
 //! `dasc_buckets_total`).
 
 use std::time::Duration;
 
 use dasc_obs::span;
 
-use dasc_kernel::{ApproximateGram, Kernel};
+use dasc_kernel::Kernel;
 use dasc_linalg::{FlatPoints, KernelBackend, PointsView};
 use dasc_lsh::{BucketSet, LshConfig, Signature, SignatureModel};
 use dasc_mapreduce::{simulate_on_cluster, split_ranges, ClusterConfig, JobStats};
 use rayon::prelude::*;
 
 use crate::embedding::{EigenPath, LANCZOS_THRESHOLD};
-use crate::spectral::{SpectralBreakdown, SpectralClustering};
 use crate::stages::{
-    bucket_spectral_config, map_signatures, merge_signature_groups, reduce_bucket,
+    check_reduce_records, map_signatures, merge_signature_groups, reduce_bucket, reduce_order,
     stitch_distributed,
 };
 use crate::Clustering;
@@ -93,29 +93,31 @@ impl DascConfig {
     }
 }
 
-/// Per-stage wall-clock breakdown of a serial DASC run.
+/// Per-stage wall-clock breakdown of a DASC run.
 #[derive(Clone, Debug, Default)]
 pub struct DascStageTimes {
-    /// Signature generation (model fit + hashing).
+    /// Signature generation (model fit + the stage-1 map tasks).
     pub lsh: Duration,
     /// Bucket formation and merging.
     pub bucketing: Duration,
-    /// Sub-similarity matrices.
+    /// Sub-similarity matrices, summed across buckets (a slice of
+    /// `clustering`, like the three substage sums below).
     pub gram: Duration,
-    /// Per-bucket spectral clustering.
+    /// Stage 2: every bucket's reduce task, then the record check and
+    /// stitch.
     pub clustering: Duration,
-    /// Laplacian scaling, summed across buckets (a slice of
-    /// `clustering`; with several rayon workers the three substage sums
-    /// can exceed the wall-clock `clustering` figure).
+    /// Laplacian scaling, summed across buckets (with several pool
+    /// workers the per-bucket sums can exceed the wall-clock
+    /// `clustering` figure).
     pub laplacian: Duration,
-    /// Eigensolves, summed across buckets (a slice of `clustering`).
+    /// Eigensolves, summed across buckets.
     pub eigen: Duration,
-    /// Row normalization + K-means, summed across buckets (a slice of
-    /// `clustering`).
+    /// Row normalization + K-means, summed across buckets.
     pub kmeans: Duration,
 }
 
-/// Result of a DASC run.
+/// Result of a DASC run, carrying per-task durations so elasticity can
+/// be replayed on other cluster sizes (Table 3).
 #[derive(Clone, Debug)]
 pub struct DascResult {
     /// The final clustering; cluster ids are contiguous across buckets.
@@ -132,26 +134,14 @@ pub struct DascResult {
     /// The kernel backend the run's gemm/dot/axpy primitives dispatched
     /// to (resolved once per process from `DASC_KERNEL`).
     pub kernel_backend: KernelBackend,
-}
-
-/// Result of a distributed DASC run, carrying per-task durations so
-/// elasticity can be replayed on other cluster sizes (Table 3).
-#[derive(Clone, Debug)]
-pub struct DascDistributedResult {
-    /// The final clustering (identical to the serial result for the same
-    /// configuration).
-    pub clustering: Clustering,
-    /// Number of buckets after merging.
-    pub num_buckets: usize,
-    /// Bytes of the approximate Gram matrix.
-    pub approx_gram_bytes: usize,
-    /// Stage 1 (LSH map) task durations.
+    /// Stage 1 (LSH map) task durations, in split order.
     pub stage1: JobStats,
-    /// Stage 2 (per-bucket clustering reduce) task durations.
+    /// Stage 2 (per-bucket clustering reduce) task durations, in bucket
+    /// order.
     pub stage2: JobStats,
 }
 
-impl DascDistributedResult {
+impl DascResult {
     /// Replay the recorded task bag on an arbitrary cluster and return
     /// the simulated total duration (the Table 3 mechanism).
     pub fn simulate_total(&self, cluster: &ClusterConfig) -> Duration {
@@ -176,21 +166,6 @@ pub struct DascTrained {
     pub model: SignatureModel,
     /// Per-point signatures, parallel to the training points.
     pub signatures: Vec<Signature>,
-    /// The configuration that produced the run (provenance).
-    pub config: DascConfig,
-}
-
-/// Distributed counterpart of [`DascTrained`].
-#[derive(Clone, Debug)]
-pub struct DascTrainedDistributed {
-    /// The distributed run result (clustering + task durations).
-    pub result: DascDistributedResult,
-    /// The frozen LSH signature model.
-    pub model: SignatureModel,
-    /// Per-point signatures reconstructed from the stage-1 map groups.
-    pub signatures: Vec<Signature>,
-    /// The merged bucket structure (stage-2 reduce groups).
-    pub buckets: BucketSet,
     /// The configuration that produced the run (provenance).
     pub config: DascConfig,
 }
@@ -225,13 +200,13 @@ impl Dasc {
 
     /// Build the block-diagonal approximate kernel matrix — steps 1–3,
     /// the algorithm-independent approximation of the paper's abstract.
-    pub fn approximate_gram(&self, points: &[Vec<f64>]) -> ApproximateGram {
+    pub fn approximate_gram(&self, points: &[Vec<f64>]) -> dasc_kernel::ApproximateGram {
         let (_, buckets) = self.partition(points);
-        ApproximateGram::from_buckets(points, &buckets, &self.config.kernel)
+        dasc_kernel::ApproximateGram::from_buckets(points, &buckets, &self.config.kernel)
     }
 
-    /// Run the full DASC pipeline serially (buckets in parallel via
-    /// rayon).
+    /// Run the full DASC pipeline on the local pool, with map tasks cut
+    /// for the default cluster ([`ClusterConfig::default`]).
     ///
     /// # Panics
     /// Panics on an empty dataset.
@@ -246,154 +221,50 @@ impl Dasc {
     /// # Panics
     /// Panics on an empty dataset.
     pub fn train(&self, points: &[Vec<f64>]) -> DascTrained {
-        assert!(!points.is_empty(), "DASC: empty dataset");
-        let lsh_span = span!("dasc.lsh");
-        let fit_span = span!("dasc.lsh.fit");
-        let model = SignatureModel::fit(points, &self.config.lsh);
-        fit_span.finish();
-        let sign_span = span!("dasc.lsh.sign");
-        let sigs = model.hash_all(points);
-        sign_span.finish();
-        let lsh_time = lsh_span.finish();
-        let mut result = self.run_with_signatures(points, &sigs);
-        result.times.lsh = lsh_time;
-        DascTrained {
-            result,
-            model,
-            signatures: sigs,
-            config: self.config.clone(),
-        }
+        self.execute(points, &ClusterConfig::default())
     }
 
-    /// Run the pipeline from pre-computed signatures — the hook for
-    /// plugging any LSH family (sign-random-projection, p-stable,
-    /// PCA/spectral hashing for skewed data) in place of the paper's
-    /// axis-threshold model. Bucket merging, per-bucket clustering and
-    /// consolidation all behave exactly as in [`Dasc::run`].
-    ///
-    /// The merge threshold comes from `config.lsh.merge_p`; set
-    /// `config.lsh` (via [`LshConfig::with_bits`]) to the external
-    /// family's signature width so `P = M − 1` keeps its meaning.
-    ///
-    /// # Panics
-    /// Panics if `signatures` does not match `points` in length, or the
-    /// dataset is empty.
-    pub fn run_with_signatures(&self, points: &[Vec<f64>], sigs: &[Signature]) -> DascResult {
-        assert!(!points.is_empty(), "DASC: empty dataset");
-        assert_eq!(points.len(), sigs.len(), "DASC: signature count mismatch");
-        let n = points.len();
-        let mut times = DascStageTimes::default();
-
-        let bucket_span = span!("dasc.bucket");
-        let buckets = BucketSet::from_signatures(sigs)
-            .merge_with(self.config.lsh.merge_strategy, self.config.lsh.merge_p);
-        times.bucketing = bucket_span.finish();
-
-        let gram_span = span!("dasc.gram");
-        let gram = ApproximateGram::from_buckets(points, &buckets, &self.config.kernel);
-        times.gram = gram_span.finish();
-        let approx_gram_bytes = gram.memory_bytes();
-
-        let cluster_span = span!("dasc.cluster");
-        // Schedule the biggest buckets first: per-bucket spectral cost
-        // grows superlinearly with Nᵢ, so a large bucket started last
-        // would finish alone while the rest of the pool idles. Spectral
-        // seeds key on the *original* bucket index and results are
-        // scattered back to input order, so the clustering is identical
-        // to an in-order run. Blocks are consumed by value: each bucket's
-        // similarity matrix is scaled into its Laplacian in place, so no
-        // second copy of the approximate Gram exists during this stage.
-        let mut blocks: Vec<(usize, dasc_kernel::GramBlock)> =
-            gram.into_blocks().into_iter().enumerate().collect();
-        let num_blocks = blocks.len();
-        blocks.sort_by_key(|(_, b)| std::cmp::Reverse(b.members.len()));
-        let computed: Vec<(usize, Vec<usize>, Clustering, SpectralBreakdown)> = blocks
-            .into_par_iter()
-            .map(|(bi, block)| {
-                let _bucket_span = span!("dasc.cluster.bucket");
-                let ki = bucket_cluster_count(self.config.k, block.members.len(), n);
-                let sc = SpectralClustering::new(bucket_spectral_config(
-                    ki,
-                    self.config.kernel,
-                    self.config.lanczos_threshold,
-                    self.config.seed,
-                    bi,
-                ));
-                let (c, breakdown) = sc.run_on_similarity_owned(block.matrix);
-                (bi, block.members, c, breakdown)
-            })
-            .collect();
-        // The rayon facade preserves order, so `computed[0]` is the
-        // largest bucket — its path is the run's representative route.
-        let eigen_path = computed
-            .first()
-            .map(|(_, _, _, br)| br.path)
-            .unwrap_or(EigenPath::DenseFull);
-        let mut per_bucket: Vec<Option<(Vec<usize>, Clustering)>> =
-            (0..num_blocks).map(|_| None).collect();
-        for (bi, members, c, breakdown) in computed {
-            times.laplacian += breakdown.laplacian;
-            times.eigen += breakdown.eigen;
-            times.kmeans += breakdown.kmeans;
-            per_bucket[bi] = Some((members, c));
-        }
-        let per_bucket: Vec<(Vec<usize>, Clustering)> = per_bucket
-            .into_iter()
-            .map(|b| b.expect("every bucket clustered"))
-            .collect();
-        times.clustering = cluster_span.finish();
-
-        let stitched = stitch_global(n, &per_bucket);
-        let clustering = if self.config.consolidate {
-            let _consolidate_span = span!("dasc.consolidate");
-            consolidate_fragments(points, &stitched, self.config.k, self.config.seed)
-        } else {
-            stitched
-        };
-        record_run_metrics(n, buckets.len(), approx_gram_bytes);
-        DascResult {
-            clustering,
-            buckets,
-            approx_gram_bytes,
-            times,
-            eigen_path,
-            kernel_backend: KernelBackend::resolved(),
-        }
-    }
-
-    /// Run DASC as the paper's two MapReduce stages.
-    ///
-    /// Stage 1 is Algorithm 1 (map: point → `(signature, index)`) over
-    /// the split plan [`split_ranges`] cuts for `cluster`, with bucket
-    /// merging applied between the stages, as Section 3.3 specifies.
-    /// Stage 2 is Algorithm 2 plus the spectral step: one reduce task per
-    /// merged bucket computes its sub-similarity matrix and clusters it.
-    /// Both stages run their tasks on the local pool and time each one,
-    /// so the task bag can be replayed on other cluster sizes.
-    pub fn run_distributed(
-        &self,
-        points: &[Vec<f64>],
-        cluster: &ClusterConfig,
-    ) -> DascDistributedResult {
-        self.train_distributed(points, cluster).result
-    }
-
-    /// [`Dasc::run_distributed`], keeping the fitted signature model,
-    /// per-point signatures, and merged buckets for artifact export.
+    /// Run DASC with stage-1 map tasks cut by [`split_ranges`] for
+    /// `cluster`. The split plan changes only the recorded task bag,
+    /// never the labels.
     ///
     /// # Panics
     /// Panics on an empty dataset.
-    pub fn train_distributed(
-        &self,
-        points: &[Vec<f64>],
-        cluster: &ClusterConfig,
-    ) -> DascTrainedDistributed {
+    pub fn run_distributed(&self, points: &[Vec<f64>], cluster: &ClusterConfig) -> DascResult {
+        self.train_distributed(points, cluster).result
+    }
+
+    /// [`Dasc::run_distributed`], keeping the fitted signature model and
+    /// per-point signatures for artifact export.
+    ///
+    /// # Panics
+    /// Panics on an empty dataset.
+    pub fn train_distributed(&self, points: &[Vec<f64>], cluster: &ClusterConfig) -> DascTrained {
+        self.execute(points, cluster)
+    }
+
+    /// The one DASC pipeline, as the paper's two MapReduce stages on the
+    /// local pool, each task timed so the bag can be replayed:
+    ///
+    /// 1. fit the model; one [`map_signatures`] task per split;
+    /// 2. rebuild the signatures ([`merge_signature_groups`]) and merge
+    ///    buckets (Section 3.3);
+    /// 3. one [`reduce_bucket`] task per bucket, largest first
+    ///    ([`reduce_order`]), each gathering its points, building its
+    ///    Gram block and clustering it — only the blocks in flight are
+    ///    ever held;
+    /// 4. [`check_reduce_records`], stitch, and consolidate.
+    fn execute(&self, points: &[Vec<f64>], cluster: &ClusterConfig) -> DascTrained {
         assert!(!points.is_empty(), "DASC: empty dataset");
         let n = points.len();
+        let cfg = &self.config;
+        let mut times = DascStageTimes::default();
 
-        // Stage 1: LSH signatures, one map task per split.
-        let stage1_span = span!("dasc.stage1.lsh_map");
-        let model = SignatureModel::fit(points, &self.config.lsh);
+        let lsh_span = span!("dasc.lsh");
+        let fit_span = span!("dasc.lsh.fit");
+        let model = SignatureModel::fit(points, &cfg.lsh);
+        fit_span.finish();
+        let sign_span = span!("dasc.lsh.sign");
         let (map_task_durations, groups): (Vec<_>, Vec<_>) = split_ranges(n, cluster)
             .into_par_iter()
             .map(|(start, len)| {
@@ -405,73 +276,85 @@ impl Dasc {
             .collect::<Vec<_>>()
             .into_iter()
             .unzip();
-        stage1_span.finish();
+        sign_span.finish();
+        times.lsh = lsh_span.finish();
 
-        // Between-stage merge: reconstruct per-point signatures from the
-        // map groups and apply the P-similar rule.
-        let merge_span = span!("dasc.bucket.merge");
-        let sigs = merge_signature_groups(n, self.config.lsh.num_bits, groups.iter().flatten())
+        let bucket_span = span!("dasc.bucket");
+        let sigs = merge_signature_groups(n, model.num_bits(), groups.iter().flatten())
             .expect("split plan covers every point once");
-        let buckets = BucketSet::from_signatures(&sigs)
-            .merge_with(self.config.lsh.merge_strategy, self.config.lsh.merge_p);
-        let approx_gram_bytes = 4 * buckets.approx_gram_entries();
-        merge_span.finish();
+        drop(groups);
+        let buckets =
+            BucketSet::from_signatures(&sigs).merge_with(cfg.lsh.merge_strategy, cfg.lsh.merge_p);
+        times.bucketing = bucket_span.finish();
+        let sizes = buckets.sizes();
 
-        // Stage 2: one reduce task per merged bucket.
-        let stage2_span = span!("dasc.stage2.cluster_reduce");
-        let (reduce_task_durations, records): (Vec<_>, Vec<_>) = buckets
-            .buckets()
-            .par_iter()
-            .enumerate()
-            .map(|(bi, b)| {
-                timed(|| {
+        let cluster_span = span!("dasc.cluster");
+        let reduced: Vec<_> = reduce_order(&sizes)
+            .into_par_iter()
+            .map(|bi| {
+                let _bucket_span = span!("dasc.cluster.bucket");
+                let members = &buckets.buckets()[bi].members;
+                let (took, out) = timed(|| {
                     reduce_bucket(
-                        &FlatPoints::gather(points, &b.members),
-                        &b.members,
-                        bucket_cluster_count(self.config.k, b.members.len(), n),
-                        self.config.kernel,
-                        self.config.lanczos_threshold,
-                        self.config.seed,
+                        &FlatPoints::gather(points, members),
+                        members,
+                        bucket_cluster_count(cfg.k, members.len(), n),
+                        cfg.kernel,
+                        cfg.lanczos_threshold,
+                        cfg.seed,
                         bi,
                     )
-                })
+                });
+                (bi, took, out)
             })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .unzip();
-        stage2_span.finish();
+            .collect();
+        // `reduced[0]` is the largest bucket — its route is the run's
+        // representative one.
+        let eigen_path = reduced
+            .first()
+            .map_or(EigenPath::DenseFull, |(_, _, (_, _, br))| br.path);
+        let mut reduce_task_durations = vec![Duration::ZERO; sizes.len()];
+        let mut records = Vec::with_capacity(n);
+        for (bi, took, (rs, gram, br)) in reduced {
+            reduce_task_durations[bi] = took;
+            times.gram += gram;
+            times.laplacian += br.laplacian;
+            times.eigen += br.eigen;
+            times.kmeans += br.kmeans;
+            records.extend(rs);
+        }
+        check_reduce_records(n, cfg.k, &sizes, &records).expect("every bucket reduced once");
+        let stitched = stitch_distributed(n, cfg.k, &sizes, &records);
+        times.clustering = cluster_span.finish();
 
-        // Stitch bucket-local cluster ids into a global id space.
-        let stitch_span = span!("dasc.stitch");
-        let stitched = stitch_distributed(n, self.config.k, &buckets.sizes(), &records.concat());
-        stitch_span.finish();
-        let clustering = if self.config.consolidate {
+        let clustering = if cfg.consolidate {
             let _consolidate_span = span!("dasc.consolidate");
-            consolidate_fragments(points, &stitched, self.config.k, self.config.seed)
+            consolidate_fragments(points, &stitched, cfg.k, cfg.seed)
         } else {
             stitched
         };
+        let approx_gram_bytes = 4 * buckets.approx_gram_entries();
         record_run_metrics(n, buckets.len(), approx_gram_bytes);
-
-        let result = DascDistributedResult {
-            clustering,
-            num_buckets: buckets.len(),
-            approx_gram_bytes,
-            stage1: JobStats {
-                map_task_durations,
-                ..JobStats::default()
+        DascTrained {
+            result: DascResult {
+                clustering,
+                buckets,
+                approx_gram_bytes,
+                times,
+                eigen_path,
+                kernel_backend: KernelBackend::resolved(),
+                stage1: JobStats {
+                    map_task_durations,
+                    ..JobStats::default()
+                },
+                stage2: JobStats {
+                    reduce_task_durations,
+                    ..JobStats::default()
+                },
             },
-            stage2: JobStats {
-                reduce_task_durations,
-                ..JobStats::default()
-            },
-        };
-        DascTrainedDistributed {
-            result,
             model,
             signatures: sigs,
-            buckets,
-            config: self.config.clone(),
+            config: cfg.clone(),
         }
     }
 }
@@ -484,7 +367,7 @@ fn timed<T>(task: impl FnOnce() -> T) -> (Duration, T) {
 }
 
 /// Run-level totals for the global metrics registry, recorded once per
-/// completed DASC run (serial or distributed).
+/// completed DASC run.
 fn record_run_metrics(points: usize, buckets: usize, approx_gram_bytes: usize) {
     let registry = dasc_obs::global();
     registry.inc("dasc_runs_total", 1);
@@ -656,20 +539,6 @@ pub(crate) fn weighted_kmeans(
     assign
 }
 
-/// Combine per-bucket clusterings into a single assignment with
-/// contiguous global cluster ids.
-fn stitch_global(n: usize, per_bucket: &[(Vec<usize>, Clustering)]) -> Clustering {
-    let mut assignments = vec![0usize; n];
-    let mut offset = 0usize;
-    for (members, c) in per_bucket {
-        for (local, &point) in members.iter().enumerate() {
-            assignments[point] = offset + c.assignments[local];
-        }
-        offset += c.num_clusters;
-    }
-    Clustering::new(assignments, offset.max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,7 +620,7 @@ mod tests {
         let acc_serial = dasc_metrics::accuracy(&serial.clustering.assignments, &truth);
         let acc_dist = dasc_metrics::accuracy(&dist.clustering.assignments, &truth);
         assert!((acc_serial - acc_dist).abs() < 1e-9);
-        assert_eq!(dist.num_buckets, serial.buckets.len());
+        assert_eq!(dist.buckets.len(), serial.buckets.len());
         assert_eq!(dist.approx_gram_bytes, serial.approx_gram_bytes);
     }
 
@@ -761,7 +630,7 @@ mod tests {
         let cfg = DascConfig::for_dataset(pts.len(), 4).lsh(LshConfig::with_bits(2));
         let dist = Dasc::new(cfg).run_distributed(&pts, &ClusterConfig::single_node());
         assert!(dist.stage1.num_map_tasks() >= 1);
-        assert_eq!(dist.stage2.num_reduce_tasks(), dist.num_buckets);
+        assert_eq!(dist.stage2.num_reduce_tasks(), dist.buckets.len());
         // Simulated time shrinks (weakly) with more nodes.
         let t1 = dist.simulate_total(&ClusterConfig::emr(1));
         let t64 = dist.simulate_total(&ClusterConfig::emr(64));
@@ -777,33 +646,6 @@ mod tests {
         assert_eq!(res.clustering.len(), 4);
         // Four singleton buckets → four clusters.
         assert_eq!(res.clustering.num_clusters, 4);
-    }
-
-    #[test]
-    fn custom_signatures_drive_the_pipeline() {
-        // Feed sign-random-projection signatures instead of the paper's
-        // axis-threshold model; blobs around distinct directions are
-        // still recovered.
-        use dasc_lsh::SignRandomProjection;
-        let (pts, truth) = four_blobs(20);
-        let m = 4usize;
-        let srp = SignRandomProjection::new(m, 2, 11);
-        let sigs = srp.hash_all(&pts);
-        let cfg = DascConfig::for_dataset(pts.len(), 4)
-            .kernel(Kernel::gaussian(0.15))
-            .lsh(LshConfig::with_bits(m));
-        let res = Dasc::new(cfg).run_with_signatures(&pts, &sigs);
-        assert_eq!(res.clustering.len(), 80);
-        let acc = dasc_metrics::accuracy(&res.clustering.assignments, &truth);
-        assert!(acc > 0.8, "SRP-driven DASC accuracy {acc}");
-    }
-
-    #[test]
-    #[should_panic(expected = "signature count mismatch")]
-    fn mismatched_signatures_panic() {
-        let (pts, _) = four_blobs(2);
-        let sigs = vec![dasc_lsh::Signature::zero(2)];
-        Dasc::new(DascConfig::for_dataset(8, 2)).run_with_signatures(&pts, &sigs);
     }
 
     #[test]
@@ -901,6 +743,16 @@ mod tests {
             .filter(|s| s.name == "dasc.cluster.bucket")
             .count();
         assert!(per_bucket >= res.buckets.len());
+        // Each Gram block is built inside its bucket's reduce task.
+        let bucket_ids: std::collections::BTreeSet<u64> = spans
+            .iter()
+            .filter(|s| s.name == "dasc.cluster.bucket")
+            .map(|s| s.id)
+            .collect();
+        assert!(spans
+            .iter()
+            .filter(|s| s.name == "dasc.gram")
+            .all(|s| s.parent.is_some_and(|p| bucket_ids.contains(&p))));
 
         assert!(dasc_obs::global().counter_value("dasc_runs_total") > runs_before);
     }

@@ -15,9 +15,9 @@
 //! * [`SpectralClustering`] — the exact Ng–Jordan–Weiss algorithm on the
 //!   full kernel matrix (the paper's SC baseline, Mahout in the
 //!   original);
-//! * [`Dasc`] — the paper's contribution, runnable serially or as the
-//!   paper's two MapReduce stages, whose bodies ([`stages`]) the
-//!   `dasc-dist` runtime shares;
+//! * [`Dasc`] — the paper's contribution, run as the paper's two
+//!   MapReduce stages, whose bodies ([`stages`]) the `dasc-dist`
+//!   runtime shares;
 //! * [`ParallelSpectral`] — the PSC baseline (Chen et al.): sparse t-NN
 //!   similarity + Lanczos;
 //! * [`Nystrom`] — the NYST baseline (Nyström-extension spectral
@@ -32,10 +32,7 @@ pub mod psc;
 pub mod spectral;
 pub mod stages;
 
-pub use dasc::{
-    bucket_cluster_count, consolidate, Dasc, DascConfig, DascDistributedResult, DascResult,
-    DascTrained, DascTrainedDistributed,
-};
+pub use dasc::{bucket_cluster_count, consolidate, Dasc, DascConfig, DascResult, DascTrained};
 pub use dasc_linalg::KernelBackend;
 pub use embedding::{
     normalized_laplacian, normalized_laplacian_inplace, resolve_eigen_path, row_normalize,
@@ -47,7 +44,7 @@ pub use nystrom_sc::{Nystrom, NystromConfig, NystromResult};
 pub use psc::{ParallelSpectral, PscConfig, PscResult};
 pub use spectral::{SpectralBreakdown, SpectralClustering, SpectralConfig, SpectralResult};
 pub use stages::{
-    check_reduce_records, map_signatures, merge_signature_groups, reduce_bucket,
+    check_reduce_records, map_signatures, merge_signature_groups, reduce_bucket, reduce_order,
     stitch_distributed, CoverageError,
 };
 

@@ -6,27 +6,32 @@
 //! * Between the stages, the groups of all map tasks are merged back
 //!   into one signature per point ([`merge_signature_groups`]), checking
 //!   that every point is mapped exactly once.
-//! * Stage 2 (Algorithm 2 plus the spectral step) clusters one merged
-//!   bucket and emits `(point, bucket, local cluster)` records
-//!   ([`reduce_bucket`]); [`check_reduce_records`] checks that the
-//!   records of all reduce tasks cover every point exactly once before
-//!   [`stitch_distributed`] assembles them.
+//! * Stage 2 (Algorithm 2 plus the spectral step) builds one merged
+//!   bucket's Gram block, clusters it and emits `(point, bucket, local
+//!   cluster)` records ([`reduce_bucket`]); buckets start largest first
+//!   ([`reduce_order`]). [`check_reduce_records`] checks that the
+//!   records of all reduce tasks cover every point exactly once, each
+//!   with a cluster its bucket has, before [`stitch_distributed`]
+//!   assembles them.
 //!
-//! [`crate::Dasc::train_distributed`] runs these bodies on the local
-//! pool; the `dasc-dist` worker runs them in its task arms and the
-//! coordinator merges and checks through the same helpers. None of them
-//! depends on how the input is cut into tasks or on task arrival order,
-//! so every executor produces bit-identical labels.
+//! [`crate::Dasc`] runs these bodies on the local pool; the `dasc-dist`
+//! worker runs them in its task arms and the coordinator orders, merges
+//! and checks through the same helpers. None of them depends on how the
+//! input is cut into tasks or on task arrival order, so every executor
+//! produces bit-identical labels.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::time::Duration;
 
-use dasc_kernel::Kernel;
+use dasc_kernel::{full_gram_flat, Kernel};
 use dasc_linalg::FlatPoints;
 use dasc_lsh::{Signature, SignatureModel};
+use dasc_obs::span;
 
 use crate::dasc::bucket_cluster_count;
-use crate::spectral::{SpectralClustering, SpectralConfig};
+use crate::spectral::{SpectralBreakdown, SpectralClustering, SpectralConfig};
 use crate::Clustering;
 
 /// Stage output that does not cover the dataset exactly once.
@@ -45,6 +50,17 @@ pub enum CoverageError {
         bucket: usize,
         /// Number of merged buckets.
         buckets: usize,
+    },
+    /// A reduce record names a local cluster its bucket does not have.
+    ClusterOutOfRange {
+        /// The point the record labels.
+        point: usize,
+        /// The record's bucket.
+        bucket: usize,
+        /// The offending local cluster id.
+        local: usize,
+        /// Number of clusters `Kᵢ` the bucket has.
+        clusters: usize,
     },
     /// A point is reported more than once.
     Duplicate {
@@ -67,6 +83,15 @@ impl fmt::Display for CoverageError {
             CoverageError::BucketOutOfRange { bucket, buckets } => {
                 write!(f, "bucket {bucket} out of range for {buckets} buckets")
             }
+            CoverageError::ClusterOutOfRange {
+                point,
+                bucket,
+                local,
+                clusters,
+            } => write!(
+                f,
+                "point {point} has cluster {local} in bucket {bucket}, which has {clusters} clusters"
+            ),
             CoverageError::Duplicate { point } => write!(f, "point {point} reported twice"),
             CoverageError::Missing { point } => write!(f, "point {point} never reported"),
         }
@@ -119,11 +144,21 @@ pub fn merge_signature_groups<'a>(
         .collect()
 }
 
+/// The order in which stage 2 starts its reduce tasks: bucket ids by
+/// size, largest first, ties by id. Per-bucket spectral cost grows
+/// superlinearly with `Nᵢ`, so a large bucket started last would finish
+/// alone while the rest of the slots idle. Only the schedule changes:
+/// bucket ids, seeds and records do not.
+pub fn reduce_order(bucket_sizes: &[usize]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..bucket_sizes.len()).collect();
+    order.sort_by_key(|&b| Reverse(bucket_sizes[b]));
+    order
+}
+
 /// The spectral configuration of merged bucket `bucket_id`, clustered
-/// into `ki` clusters. The seed derives from `(seed, bucket_id)`, so the
-/// serial [`crate::Dasc::run`] and every distributed executor seed each
-/// bucket alike whatever task runs it.
-pub(crate) fn bucket_spectral_config(
+/// into `ki` clusters. The seed derives from `(seed, bucket_id)`, so
+/// every executor seeds each bucket alike whatever task runs it.
+fn bucket_spectral_config(
     ki: usize,
     kernel: Kernel,
     lanczos_threshold: usize,
@@ -137,9 +172,11 @@ pub(crate) fn bucket_spectral_config(
     cfg
 }
 
-/// Stage-2 reduce body: spectrally cluster bucket `bucket_id`, whose
-/// rows `points` holds in `members` order, into `ki` clusters, and emit
-/// one `(point, bucket_id, local cluster)` record per member.
+/// Stage-2 reduce body: build the Gram block of bucket `bucket_id`,
+/// whose rows `points` holds in `members` order, spectrally cluster it
+/// into `ki` clusters, and emit one `(point, bucket_id, local cluster)`
+/// record per member. Also returns the time the Gram block took (span
+/// `dasc.gram`) and the spectral substage breakdown.
 pub fn reduce_bucket(
     points: &FlatPoints,
     members: &[usize],
@@ -148,29 +185,46 @@ pub fn reduce_bucket(
     lanczos_threshold: usize,
     seed: u64,
     bucket_id: usize,
-) -> Vec<(usize, usize, usize)> {
+) -> (Vec<(usize, usize, usize)>, Duration, SpectralBreakdown) {
+    assert!(!points.is_empty(), "reduce_bucket: empty bucket");
+    let gram_span = span!("dasc.gram");
+    let similarity = full_gram_flat(points, &kernel);
+    let gram = gram_span.finish();
     let cfg = bucket_spectral_config(ki, kernel, lanczos_threshold, seed, bucket_id);
-    let c = SpectralClustering::new(cfg).run_flat(points).clustering;
-    members
+    let (c, breakdown) = SpectralClustering::new(cfg).run_on_similarity_owned(similarity);
+    let records = members
         .iter()
         .zip(c.assignments)
         .map(|(&point, local)| (point, bucket_id, local))
-        .collect()
+        .collect();
+    (records, gram, breakdown)
 }
 
 /// Check that stage-2 records name each point in `0..n` exactly once,
-/// each in one of `num_buckets` buckets.
+/// each in one of the buckets `bucket_sizes` lists, with a local
+/// cluster id below that bucket's `Kᵢ` (of `k_total`, as
+/// [`stitch_distributed`] apportions them).
 pub fn check_reduce_records(
     n: usize,
-    num_buckets: usize,
+    k_total: usize,
+    bucket_sizes: &[usize],
     records: &[(usize, usize, usize)],
 ) -> Result<(), CoverageError> {
     let mut seen = vec![false; n];
-    for &(point, bucket, _) in records {
-        if bucket >= num_buckets {
+    for &(point, bucket, local) in records {
+        let Some(&ni) = bucket_sizes.get(bucket) else {
             return Err(CoverageError::BucketOutOfRange {
                 bucket,
-                buckets: num_buckets,
+                buckets: bucket_sizes.len(),
+            });
+        };
+        let clusters = bucket_cluster_count(k_total, ni, n);
+        if local >= clusters {
+            return Err(CoverageError::ClusterOutOfRange {
+                point,
+                bucket,
+                local,
+                clusters,
             });
         }
         let slot = seen
@@ -188,7 +242,10 @@ pub fn check_reduce_records(
 
 /// Stitch stage-2 records `(point, bucket_id, local_cluster)` into one
 /// assignment with contiguous global cluster ids, given each bucket's
-/// size.
+/// size. The records must pass [`check_reduce_records`].
+///
+/// # Panics
+/// Panics on a local cluster id past its bucket's `Kᵢ`.
 pub fn stitch_distributed(
     n: usize,
     k_total: usize,
@@ -205,7 +262,11 @@ pub fn stitch_distributed(
     }
     let mut assignments = vec![0usize; n];
     for &(point, bucket_id, local) in records {
-        assignments[point] = offsets[bucket_id] + local.min(ki_per_bucket[bucket_id] - 1);
+        assert!(
+            local < ki_per_bucket[bucket_id],
+            "stitch: cluster {local} out of range in bucket {bucket_id}"
+        );
+        assignments[point] = offsets[bucket_id] + local;
     }
     Clustering::new(assignments, (*offsets.last().expect("nonempty")).max(1))
 }
@@ -260,37 +321,61 @@ mod tests {
 
     #[test]
     fn reduce_records_must_cover_each_point_once() {
+        // k = 3 over buckets of 2 and 1 points: K₀ = 2, K₁ = 1.
+        let sizes = [2, 1];
         assert_eq!(
-            check_reduce_records(3, 2, &[(0, 0, 0), (2, 1, 0), (1, 0, 1)]),
+            check_reduce_records(3, 3, &sizes, &[(0, 0, 0), (2, 1, 0), (1, 0, 1)]),
             Ok(())
         );
         // Same record count as points, one duplicated and one missing.
         assert_eq!(
-            check_reduce_records(3, 2, &[(0, 0, 0), (1, 1, 0), (1, 1, 0)]),
+            check_reduce_records(3, 3, &sizes, &[(0, 0, 0), (1, 1, 0), (1, 1, 0)]),
             Err(CoverageError::Duplicate { point: 1 })
         );
         assert_eq!(
-            check_reduce_records(3, 2, &[(0, 0, 0), (1, 1, 0)]),
+            check_reduce_records(3, 3, &sizes, &[(0, 0, 0), (1, 1, 0)]),
             Err(CoverageError::Missing { point: 2 })
         );
         assert_eq!(
-            check_reduce_records(3, 2, &[(0, 2, 0)]),
+            check_reduce_records(3, 3, &sizes, &[(0, 2, 0)]),
             Err(CoverageError::BucketOutOfRange {
                 bucket: 2,
                 buckets: 2
             })
         );
         assert_eq!(
-            check_reduce_records(3, 2, &[(5, 0, 0)]),
+            check_reduce_records(3, 3, &sizes, &[(5, 0, 0)]),
             Err(CoverageError::PointOutOfRange { point: 5, n: 3 })
         );
+    }
+
+    #[test]
+    fn reduce_records_must_name_a_cluster_of_their_bucket() {
+        // Bucket 1 has K₁ = 1 cluster, so local id 1 is out of range:
+        // stitched, it would name some other cluster.
+        let sizes = [2, 1];
+        assert_eq!(
+            check_reduce_records(3, 3, &sizes, &[(0, 0, 0), (1, 0, 1), (2, 1, 1)]),
+            Err(CoverageError::ClusterOutOfRange {
+                point: 2,
+                bucket: 1,
+                local: 1,
+                clusters: 1
+            })
+        );
+    }
+
+    #[test]
+    fn reduce_order_is_largest_first_ties_by_id() {
+        assert_eq!(reduce_order(&[3, 7, 3, 9, 1]), vec![3, 1, 0, 2, 4]);
+        assert!(reduce_order(&[]).is_empty());
     }
 
     #[test]
     fn reduce_bucket_emits_one_record_per_member() {
         let rows = vec![vec![0.0, 0.0], vec![0.01, 0.0], vec![1.0, 1.0]];
         let members = [7, 3, 5];
-        let records = reduce_bucket(
+        let (records, _, _) = reduce_bucket(
             &FlatPoints::from_rows(&rows),
             &members,
             2,

@@ -1,13 +1,22 @@
-//! `Dasc::run_distributed` must label every point exactly as the serial
-//! `Dasc::run` does: the two stages re-express the same computation, so
-//! any difference is a numerics change in the stage bodies.
+//! Every DASC entry point must label every point exactly as the serial
+//! composition of the algorithm's public steps does: LSH signatures,
+//! P-similar bucket merging, the block-diagonal approximate Gram, one
+//! spectral clustering per block, stitching, consolidation. `Dasc::run`
+//! and `Dasc::run_distributed` share one executor, so comparing them
+//! with each other alone would check nothing; the reference below is
+//! built without it.
 //!
 //! The fixtures cover both per-bucket eigensolver routes — dense-k
 //! buckets and buckets past the Lanczos threshold — each with
 //! consolidation on and off.
 
-use dasc_core::{Dasc, DascConfig, LANCZOS_THRESHOLD};
+use dasc_core::{
+    bucket_cluster_count, consolidate, Clustering, Dasc, DascConfig, SpectralClustering,
+    SpectralConfig, LANCZOS_THRESHOLD,
+};
 use dasc_data::SyntheticConfig;
+use dasc_kernel::ApproximateGram;
+use dasc_lsh::{BucketSet, SignatureModel};
 use dasc_mapreduce::ClusterConfig;
 
 /// Which eigensolver route the fixture's buckets must reach.
@@ -19,7 +28,38 @@ enum Route {
     Lanczos,
 }
 
-fn assert_distributed_matches_serial(
+/// DASC as a serial composition of public calls: the whole approximate
+/// Gram first, then each block clustered with its bucket's seed.
+fn reference(points: &[Vec<f64>], cfg: &DascConfig) -> (BucketSet, Clustering) {
+    let n = points.len();
+    let model = SignatureModel::fit(points, &cfg.lsh);
+    let buckets = BucketSet::from_signatures(&model.hash_all(points))
+        .merge_with(cfg.lsh.merge_strategy, cfg.lsh.merge_p);
+    let gram = ApproximateGram::from_buckets(points, &buckets, &cfg.kernel);
+    let mut assignments = vec![0usize; n];
+    let mut offset = 0usize;
+    for (b, block) in gram.blocks().iter().enumerate() {
+        let ki = bucket_cluster_count(cfg.k, block.members.len(), n);
+        let mut spectral = SpectralConfig::new(ki)
+            .kernel(cfg.kernel)
+            .seed(cfg.seed ^ (b as u64).wrapping_mul(0x9E37_79B9));
+        spectral.lanczos_threshold = cfg.lanczos_threshold;
+        let c = SpectralClustering::new(spectral).run_on_similarity(&block.matrix);
+        for (&point, &local) in block.members.iter().zip(&c.assignments) {
+            assignments[point] = offset + local;
+        }
+        offset += c.num_clusters;
+    }
+    let stitched = Clustering::new(assignments, offset.max(1));
+    let clustering = if cfg.consolidate {
+        consolidate(points, &stitched, cfg.k, cfg.seed)
+    } else {
+        stitched
+    };
+    (buckets, clustering)
+}
+
+fn assert_every_entry_point_matches_reference(
     name: &str,
     synthetic: SyntheticConfig,
     k: usize,
@@ -28,9 +68,9 @@ fn assert_distributed_matches_serial(
     let ds = synthetic.generate();
     let n = ds.points.len();
     for consolidate in [true, false] {
-        let dasc = Dasc::new(DascConfig::for_dataset(n, k).consolidate(consolidate));
-        let serial = dasc.run(&ds.points);
-        let largest = serial.buckets.sizes().into_iter().max().unwrap_or(0);
+        let cfg = DascConfig::for_dataset(n, k).consolidate(consolidate);
+        let (buckets, expected) = reference(&ds.points, &cfg);
+        let largest = buckets.sizes().into_iter().max().unwrap_or(0);
         let reached = if largest > LANCZOS_THRESHOLD {
             Route::Lanczos
         } else {
@@ -41,19 +81,36 @@ fn assert_distributed_matches_serial(
             "{name}: largest bucket has {largest} points"
         );
 
-        let dist = dasc.run_distributed(&ds.points, &ClusterConfig::emr_default());
-        assert_eq!(
-            dist.clustering, serial.clustering,
-            "{name} (consolidate={consolidate}): distributed labels differ from serial"
-        );
-        assert_eq!(dist.num_buckets, serial.buckets.len(), "{name}");
-        assert_eq!(dist.approx_gram_bytes, serial.approx_gram_bytes, "{name}");
+        let dasc = Dasc::new(cfg);
+        let runs = [
+            ("run", dasc.run(&ds.points)),
+            (
+                "run_distributed(emr_default)",
+                dasc.run_distributed(&ds.points, &ClusterConfig::emr_default()),
+            ),
+            (
+                "run_distributed(single_node)",
+                dasc.run_distributed(&ds.points, &ClusterConfig::single_node()),
+            ),
+        ];
+        for (entry, res) in runs {
+            assert_eq!(
+                res.clustering, expected,
+                "{name} (consolidate={consolidate}): {entry} labels differ from the reference"
+            );
+            assert_eq!(res.buckets.sizes(), buckets.sizes(), "{name}: {entry}");
+            assert_eq!(
+                res.approx_gram_bytes,
+                4 * buckets.approx_gram_entries(),
+                "{name}: {entry}"
+            );
+        }
     }
 }
 
 #[test]
 fn small_blobs() {
-    assert_distributed_matches_serial(
+    assert_every_entry_point_matches_reference(
         "blobs(2000, 16, 8)",
         SyntheticConfig::blobs(2000, 16, 8),
         8,
@@ -63,7 +120,7 @@ fn small_blobs() {
 
 #[test]
 fn grid_on_dense_k_buckets() {
-    assert_distributed_matches_serial(
+    assert_every_entry_point_matches_reference(
         "grid(4096, 64, 6)",
         SyntheticConfig::grid(4096, 64, 6),
         64,
@@ -73,7 +130,7 @@ fn grid_on_dense_k_buckets() {
 
 #[test]
 fn large_blobs() {
-    assert_distributed_matches_serial(
+    assert_every_entry_point_matches_reference(
         "blobs(6000, 32, 12)",
         SyntheticConfig::blobs(6000, 32, 12),
         12,

@@ -2,8 +2,8 @@
 //!
 //! One `dasc-net` server thread-set handles all RPCs; each submitted
 //! job gets a runner thread that replays the exact in-process
-//! `Dasc::train_distributed` jobflow, but with the map and reduce
-//! bodies executed by remote workers:
+//! `Dasc::train` jobflow, but with the map and reduce bodies executed
+//! by remote workers:
 //!
 //! 1. fit the LSH signature model locally (cheap, needs the whole
 //!    dataset's histograms — same as the in-process path);
@@ -11,9 +11,11 @@
 //! 3. between-stage merge: rebuild per-point signatures, checking that
 //!    every point is mapped exactly once, then form and merge buckets
 //!    (the shared `dasc_core::merge_signature_groups`);
-//! 4. stage 2: one `ReduceBucket` task per merged bucket;
-//! 5. check that every point came back exactly once, then stitch and
-//!    consolidate locally via the shared `dasc-core` helpers.
+//! 4. stage 2: one `ReduceBucket` task per merged bucket, queued
+//!    largest first (the shared `dasc_core::reduce_order`);
+//! 5. check that every point came back exactly once with a cluster its
+//!    bucket has, then stitch and consolidate locally via the shared
+//!    `dasc-core` helpers.
 //!
 //! Jobs submitted against a packed dataset store ([`JobData::Ref`])
 //! follow the same flow with the `*Ref` task kinds: tasks carry the
@@ -22,7 +24,7 @@
 //! workers on [`Msg::ShardRequest`] out of the mmap'd store.
 //!
 //! Because every numerical step is the same shared function
-//! `Dasc::run_distributed` calls, the final assignments are
+//! `Dasc::run` calls, the final assignments are
 //! bit-identical to it for the same `JobSpec` — regardless of
 //! worker count, task interleaving, or mid-job worker deaths.
 //!
@@ -41,7 +43,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use dasc_core::{
-    bucket_cluster_count, check_reduce_records, consolidate, merge_signature_groups,
+    bucket_cluster_count, check_reduce_records, consolidate, merge_signature_groups, reduce_order,
     stitch_distributed, Clustering, LANCZOS_THRESHOLD,
 };
 use dasc_lsh::{BucketSet, LshConfig, Signature, SignatureModel};
@@ -948,10 +950,12 @@ fn merge_map_outputs<'a>(
 }
 
 /// Gather the stage-2 replies' records. Every point must come back
-/// exactly once, in an existing bucket.
+/// exactly once, in an existing bucket, with a cluster that bucket has
+/// (`bucket_sizes` and `k` give each bucket's `Kᵢ`).
 fn collect_reduce_records<'a>(
     n: usize,
-    num_buckets: usize,
+    k: usize,
+    bucket_sizes: &[usize],
     outputs: impl IntoIterator<Item = &'a TaskOutput>,
 ) -> Result<Vec<(usize, usize, usize)>, String> {
     let mut records = Vec::with_capacity(n);
@@ -961,13 +965,13 @@ fn collect_reduce_records<'a>(
         };
         records.extend_from_slice(rs);
     }
-    check_reduce_records(n, num_buckets, &records)
+    check_reduce_records(n, k, bucket_sizes, &records)
         .map_err(|e| format!("reduce stage output: {e}"))?;
     Ok(records)
 }
 
-/// The job runner: the exact `Dasc::train_distributed` flow with map
-/// and reduce bodies farmed out to workers.
+/// The job runner: the exact `Dasc::train` flow with map and reduce
+/// bodies farmed out to workers.
 fn drive_job(shared: &SharedState, job_id: u64, spec: JobSpec) {
     let result = execute_job(shared, job_id, &spec);
     match result {
@@ -1079,15 +1083,16 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
     let sigs = merge_map_outputs(n, model.num_bits(), map_outputs.values())?;
     let buckets = BucketSet::from_signatures(&sigs).merge_with(lsh.merge_strategy, lsh.merge_p);
 
-    // Stage 2: one reduce task per merged bucket.
+    // Stage 2: one reduce task per merged bucket, queued largest first.
+    // Task ids stay in bucket order.
     let stage2_span = span!("dist.stage2");
     let stage2_id = shared.trace_begin(job_id, "dist.stage2", job_span_id);
     let stage2_start = Instant::now();
+    let sizes = buckets.sizes();
     let first_id = shared.alloc_task_ids(buckets.len());
-    let reduce_tasks: Vec<Task> = buckets
-        .buckets()
-        .iter()
-        .enumerate()
+    let reduce_tasks: Vec<Task> = reduce_order(&sizes)
+        .into_iter()
+        .map(|bi| (bi, &buckets.buckets()[bi]))
         .map(|(bi, b)| Task {
             job_id,
             task_id: first_id + bi as u64,
@@ -1132,8 +1137,8 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
     {
         *stage = stage::FINISH;
     }
-    let records = collect_reduce_records(n, buckets.len(), reduce_outputs.values())?;
-    let stitched = stitch_distributed(n, spec.k, &buckets.sizes(), &records);
+    let records = collect_reduce_records(n, spec.k, &sizes, reduce_outputs.values())?;
+    let stitched = stitch_distributed(n, spec.k, &sizes, &records);
     let clustering: Clustering = if spec.consolidate {
         match &source {
             DataSource::Inline(points) => consolidate(*points, &stitched, spec.k, spec.seed),
@@ -1205,23 +1210,40 @@ mod tests {
 
     #[test]
     fn reduce_replies_with_a_duplicated_and_a_missing_point_fail_the_job() {
+        // k = 3 over buckets of 2 and 1 points: K₀ = 2, K₁ = 1.
+        let sizes = [2, 1];
         // Three records for three points — the old count check passed
         // this — but point 0 comes back twice and point 2 never.
         let replies = [
             TaskOutput::ReduceBucket(vec![(0, 0, 0), (1, 0, 1)]),
             TaskOutput::ReduceBucket(vec![(0, 1, 0)]),
         ];
-        let err = collect_reduce_records(3, 2, &replies).expect_err("point 0 twice");
+        let err = collect_reduce_records(3, 3, &sizes, &replies).expect_err("point 0 twice");
         assert!(err.contains("point 0 reported twice"), "{err}");
 
         let replies = [
             TaskOutput::ReduceBucket(vec![(0, 0, 0), (1, 0, 1)]),
             TaskOutput::ReduceBucket(vec![(2, 1, 0)]),
         ];
-        let records = collect_reduce_records(3, 2, &replies).expect("exact cover");
+        let records = collect_reduce_records(3, 3, &sizes, &replies).expect("exact cover");
         assert_eq!(records.len(), 3);
 
         let wrong_stage = [TaskOutput::MapSignatures(Vec::new())];
-        assert!(collect_reduce_records(0, 1, &wrong_stage).is_err());
+        assert!(collect_reduce_records(0, 1, &[], &wrong_stage).is_err());
+    }
+
+    #[test]
+    fn reduce_reply_with_an_out_of_range_cluster_fails_the_job() {
+        // Bucket 1 holds one point, so it has one cluster; a reply
+        // labelling that point with local cluster 1 must fail the job.
+        let replies = [
+            TaskOutput::ReduceBucket(vec![(0, 0, 0), (1, 0, 1)]),
+            TaskOutput::ReduceBucket(vec![(2, 1, 1)]),
+        ];
+        let err = collect_reduce_records(3, 3, &[2, 1], &replies).expect_err("cluster 1 of 1");
+        assert_eq!(
+            err,
+            "reduce stage output: point 2 has cluster 1 in bucket 1, which has 1 clusters"
+        );
     }
 }

@@ -1,8 +1,8 @@
 //! Multi-process distributed DASC runtime.
 //!
 //! The paper runs DASC as two MapReduce stages on Hadoop across real
-//! machines; `Dasc::run_distributed` runs that jobflow inside one
-//! process. This crate runs it across OS processes: a [`Coordinator`]
+//! machines; `Dasc::run` (like every `Dasc` entry point) runs that
+//! jobflow inside one process. This crate runs it across OS processes: a [`Coordinator`]
 //! (job tracker + name node) and pull-based workers ([`worker::spawn`])
 //! over `dasc-net` TCP framing.
 //!
@@ -12,7 +12,7 @@
 //! (`dasc_core::reduce_bucket`), the stitch
 //! (`dasc_core::stitch_distributed`) and the consolidation
 //! (`dasc_core::consolidate`) are the *same functions* the in-process
-//! `Dasc::run_distributed` calls, and none of them depend on task
+//! `Dasc::run` calls, and none of them depend on task
 //! granularity or arrival order. A distributed run therefore produces
 //! bit-identical assignments to a single-process run of the same
 //! [`JobSpec`] — with any number of workers, and even when workers die

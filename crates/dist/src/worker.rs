@@ -4,7 +4,7 @@
 //! connection, then loops: `RequestTask` → execute → `TaskDone` (or
 //! `TaskFailed` if the task body panicked or failed). Task bodies are
 //! the stage bodies of `dasc_core::stages`, the same functions
-//! `Dasc::run_distributed` runs, so the numerics are shared code with
+//! every `Dasc` entry point runs, so the numerics are shared code with
 //! the single-process path:
 //!
 //! * `MapSignatures` / `MapSignaturesRef` →
@@ -391,15 +391,18 @@ pub fn execute_task_traced(
                 } => {
                     let _span = tracer.span("dist.task.reduce");
                     let _cluster_span = tracer.span("dist.task.reduce.cluster");
-                    Ok(TaskOutput::ReduceBucket(reduce_bucket(
-                        &FlatPoints::from_rows(&points),
-                        &members,
-                        ki,
-                        kernel,
-                        lanczos_threshold,
-                        seed,
-                        bucket_id,
-                    )))
+                    Ok(TaskOutput::ReduceBucket(
+                        reduce_bucket(
+                            &FlatPoints::from_rows(&points),
+                            &members,
+                            ki,
+                            kernel,
+                            lanczos_threshold,
+                            seed,
+                            bucket_id,
+                        )
+                        .0,
+                    ))
                 }
                 TaskKind::MapSignaturesRef {
                     num_bits: _,
@@ -453,15 +456,18 @@ pub fn execute_task_traced(
                         flat.extend_from_slice(shard.row(r));
                     }
                     let _cluster_span = tracer.span("dist.task.reduce.cluster");
-                    Ok(TaskOutput::ReduceBucket(reduce_bucket(
-                        &FlatPoints::from_flat(flat, dim),
-                        &members,
-                        ki,
-                        kernel,
-                        lanczos_threshold,
-                        seed,
-                        bucket_id,
-                    )))
+                    Ok(TaskOutput::ReduceBucket(
+                        reduce_bucket(
+                            &FlatPoints::from_flat(flat, dim),
+                            &members,
+                            ki,
+                            kernel,
+                            lanczos_threshold,
+                            seed,
+                            bucket_id,
+                        )
+                        .0,
+                    ))
                 }
             }
         },

@@ -63,7 +63,7 @@ fn two_workers_match_in_process_engine() {
 
     assert_eq!(outcome.assignments, baseline.clustering.assignments);
     assert_eq!(outcome.num_clusters, baseline.clustering.num_clusters);
-    assert_eq!(outcome.num_buckets, baseline.num_buckets);
+    assert_eq!(outcome.num_buckets, baseline.buckets.len());
     assert!(outcome.workers_used >= 1);
     assert!(outcome.shuffle_records > 0);
     assert!(outcome.shuffle_bytes > 0);
@@ -112,7 +112,7 @@ fn killed_worker_mid_map_recovers_and_matches() {
     // Bit-identical to the in-process engine despite the death.
     assert_eq!(outcome.assignments, baseline.clustering.assignments);
     assert_eq!(outcome.num_clusters, baseline.clustering.num_clusters);
-    assert_eq!(outcome.num_buckets, baseline.num_buckets);
+    assert_eq!(outcome.num_buckets, baseline.buckets.len());
 
     survivor.shutdown().expect("survivor");
     coordinator.shutdown();

@@ -29,68 +29,49 @@ pub struct ApproximateGram {
     blocks: Vec<GramBlock>,
 }
 
-/// Build every bucket's Gram block, bucket-parallel.
-///
-/// Buckets are *scheduled largest-first*: a bucket costs O(Nᵢ²), so if
-/// the biggest one started last it would run alone at the tail while
-/// the rest of the pool idles. Results are scattered back to input
-/// order, so the output is independent of the schedule.
-fn blocks_for_groups(points: &[Vec<f64>], groups: &[&[usize]], kernel: &Kernel) -> Vec<GramBlock> {
-    let mut order: Vec<usize> = (0..groups.len()).collect();
-    order.sort_by_key(|&g| std::cmp::Reverse(groups[g].len()));
-    let computed: Vec<(usize, GramBlock)> = order
-        .par_iter()
-        .map(|&g| {
-            let members = groups[g];
-            // Gather the bucket into a flat row-major buffer once;
-            // `full_gram_flat` then computes the block through the tiled
-            // GEMM micro-kernel (norm expansion + batched kernel map)
-            // for buckets of at least `TILED_MIN_POINTS`, and stays on
-            // the scalar path for small buckets where setup dominates.
-            let sub = FlatPoints::gather(points, members);
-            let block = GramBlock {
-                members: members.to_vec(),
-                matrix: full_gram_flat(&sub, kernel),
-            };
-            (g, block)
-        })
-        .collect();
-    let mut out: Vec<Option<GramBlock>> = (0..groups.len()).map(|_| None).collect();
-    for (g, block) in computed {
-        out[g] = Some(block);
-    }
-    out.into_iter()
-        .map(|b| b.expect("every group computed"))
-        .collect()
-}
-
 impl ApproximateGram {
-    /// Build the approximation from LSH buckets (bucket-parallel,
-    /// largest buckets scheduled first).
+    /// Build the approximation from LSH buckets, bucket-parallel.
+    ///
+    /// Buckets are *scheduled largest-first*: a bucket costs O(Nᵢ²), so
+    /// if the biggest one started last it would run alone at the tail
+    /// while the rest of the pool idles. Blocks are put back in bucket
+    /// order, so the output is independent of the schedule.
     pub fn from_buckets(points: &[Vec<f64>], buckets: &BucketSet, kernel: &Kernel) -> Self {
         assert_eq!(
             buckets.num_points(),
             points.len(),
             "bucket set does not cover the dataset"
         );
-        let groups: Vec<&[usize]> = buckets
-            .buckets()
-            .iter()
-            .map(|b| b.members.as_slice())
+        let buckets = buckets.buckets();
+        let mut order: Vec<usize> = (0..buckets.len()).collect();
+        order.sort_by_key(|&b| std::cmp::Reverse(buckets[b].members.len()));
+        let computed: Vec<(usize, GramBlock)> = order
+            .into_par_iter()
+            .map(|b| {
+                let members = &buckets[b].members;
+                // Gather the bucket into a flat row-major buffer once;
+                // `full_gram_flat` then computes the block through the
+                // tiled GEMM micro-kernel for buckets of at least
+                // `TILED_MIN_POINTS`, and stays on the scalar path for
+                // small buckets where setup dominates.
+                let sub = FlatPoints::gather(points, members);
+                let block = GramBlock {
+                    members: members.clone(),
+                    matrix: full_gram_flat(&sub, kernel),
+                };
+                (b, block)
+            })
             .collect();
-        Self {
-            n: points.len(),
-            blocks: blocks_for_groups(points, &groups, kernel),
+        let mut blocks: Vec<Option<GramBlock>> = (0..buckets.len()).map(|_| None).collect();
+        for (b, block) in computed {
+            blocks[b] = Some(block);
         }
-    }
-
-    /// Build directly from explicit member groups (used by tests and by
-    /// the MapReduce reducer path, where groups arrive from the shuffle).
-    pub fn from_groups(points: &[Vec<f64>], groups: Vec<Vec<usize>>, kernel: &Kernel) -> Self {
-        let group_refs: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
         Self {
             n: points.len(),
-            blocks: blocks_for_groups(points, &group_refs, kernel),
+            blocks: blocks
+                .into_iter()
+                .map(|b| b.expect("every bucket computed"))
+                .collect(),
         }
     }
 
@@ -102,13 +83,6 @@ impl ApproximateGram {
     /// The diagonal blocks.
     pub fn blocks(&self) -> &[GramBlock] {
         &self.blocks
-    }
-
-    /// Consume the approximation, yielding its diagonal blocks by value
-    /// — lets per-bucket spectral clustering scale each block into its
-    /// Laplacian in place instead of cloning it.
-    pub fn into_blocks(self) -> Vec<GramBlock> {
-        self.blocks
     }
 
     /// Number of stored entries `Σ Nᵢ²` (Eq. 9's numerator).
@@ -184,6 +158,11 @@ mod tests {
             vec![1.0, 1.0],
             vec![0.9, 1.0],
         ]
+    }
+
+    /// One 3-bit signature per point, from its bucket id.
+    fn buckets_of(ids: &[u64]) -> Vec<Signature> {
+        ids.iter().map(|&b| Signature::from_bits(b, 3)).collect()
     }
 
     fn two_buckets() -> BucketSet {
@@ -265,8 +244,10 @@ mod tests {
         // Figure 5's trend: splitting finer loses more mass.
         let k = Kernel::gaussian(1.0);
         let p = pts();
-        let coarse = ApproximateGram::from_groups(&p, vec![vec![0, 1], vec![2, 3]], &k);
-        let fine = ApproximateGram::from_groups(&p, vec![vec![0], vec![1], vec![2], vec![3]], &k);
+        let coarse = ApproximateGram::from_buckets(&p, &two_buckets(), &k);
+        let singletons = BucketSet::from_signatures(&buckets_of(&[0, 1, 2, 3]));
+        let fine = ApproximateGram::from_buckets(&p, &singletons, &k);
+        assert_eq!(fine.blocks().len(), 4);
         assert!(fine.fnorm_ratio_to_full(&p, &k) < coarse.fnorm_ratio_to_full(&p, &k));
     }
 
@@ -274,10 +255,10 @@ mod tests {
     fn memory_far_below_full_for_many_buckets() {
         let n = 64;
         let p: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64]).collect();
-        let groups: Vec<Vec<usize>> = (0..8)
-            .map(|g| (0..8).map(|i| g * 8 + i).collect())
-            .collect();
-        let ag = ApproximateGram::from_groups(&p, groups, &Kernel::gaussian(1.0));
+        let ids: Vec<u64> = (0..n as u64).map(|i| i / 8).collect();
+        let buckets = BucketSet::from_signatures(&buckets_of(&ids));
+        let ag = ApproximateGram::from_buckets(&p, &buckets, &Kernel::gaussian(1.0));
+        assert_eq!(ag.blocks().len(), 8);
         // 8 blocks of 8² vs full 64²: exactly the 1/B reduction of Eq. 10.
         assert_eq!(ag.stored_entries(), 8 * 64);
         assert_eq!(ag.memory_bytes() * 8, crate::gram::gram_memory_bytes(n));

@@ -39,10 +39,10 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use dasc_core::{Clustering, DascConfig, DascTrained, DascTrainedDistributed};
+use dasc_core::{DascConfig, DascTrained};
 use dasc_kernel::Kernel;
 use dasc_lsh::{
-    BucketSet, DimensionSelection, HashPlane, LshConfig, MergeStrategy, Signature, SignatureModel,
+    DimensionSelection, HashPlane, LshConfig, MergeStrategy, Signature, SignatureModel,
     ThresholdRule,
 };
 
@@ -140,42 +140,19 @@ impl From<DecodeError> for ArtifactError {
 }
 
 impl ModelArtifact {
-    /// Snapshot a serial training run ([`dasc_core::Dasc::train`]).
+    /// Snapshot a training run ([`dasc_core::Dasc::train`] or
+    /// [`dasc_core::Dasc::train_distributed`]).
     ///
     /// `points` must be the training set the run was produced from —
     /// centroids are computed here, in input space.
     pub fn from_trained(trained: &DascTrained, points: &[Vec<f64>]) -> Self {
-        Self::build(
-            trained.config.clone(),
-            &trained.result.clustering,
-            &trained.result.buckets,
-            &trained.model,
-            &trained.signatures,
-            points,
-        )
-    }
-
-    /// Snapshot a distributed training run
-    /// ([`dasc_core::Dasc::train_distributed`]).
-    pub fn from_trained_distributed(trained: &DascTrainedDistributed, points: &[Vec<f64>]) -> Self {
-        Self::build(
-            trained.config.clone(),
-            &trained.result.clustering,
-            &trained.buckets,
-            &trained.model,
-            &trained.signatures,
-            points,
-        )
-    }
-
-    fn build(
-        config: DascConfig,
-        clustering: &Clustering,
-        buckets: &BucketSet,
-        model: &SignatureModel,
-        signatures: &[Signature],
-        points: &[Vec<f64>],
-    ) -> Self {
+        let DascTrained {
+            result,
+            model,
+            signatures,
+            config,
+        } = trained;
+        let (clustering, buckets) = (&result.clustering, &result.buckets);
         assert_eq!(points.len(), signatures.len(), "artifact: signature count");
         assert_eq!(points.len(), clustering.len(), "artifact: assignment count");
         assert!(!points.is_empty(), "artifact: empty training set");
@@ -232,7 +209,7 @@ impl ModelArtifact {
         let global_centroids = finish(global_sums);
 
         Self {
-            config,
+            config: config.clone(),
             dimension: d,
             num_clusters: clustering.num_clusters,
             trained_points: points.len(),

@@ -172,7 +172,7 @@ fn distributed_training_exports_equivalent_artifact() {
     let serial = Dasc::new(cfg.clone()).train(&pts);
     let dist = Dasc::new(cfg).train_distributed(&pts, &ClusterConfig::single_node());
     let a = ModelArtifact::from_trained(&serial, &pts);
-    let b = ModelArtifact::from_trained_distributed(&dist, &pts);
+    let b = ModelArtifact::from_trained(&dist, &pts);
     // Deterministic engine: serial and distributed training produce the
     // same online model.
     assert_eq!(a.signature_table, b.signature_table);

@@ -34,7 +34,7 @@ fn main() {
         "job: {} map tasks, {} reduce tasks, {} buckets, accuracy {:.3}\n",
         result.stage1.num_map_tasks(),
         result.stage2.num_reduce_tasks(),
-        result.num_buckets,
+        result.buckets.len(),
         accuracy(&result.clustering.assignments, truth)
     );
 

@@ -38,7 +38,8 @@ for e in events:
     for field in ("name", "ph", "ts", "dur", "pid", "tid"):
         assert field in e, f"event missing {field}: {e}"
     assert e["ph"] == "X", f"unexpected phase {e['ph']}"
-assert len(names) >= 5, f"expected >=5 distinct dasc.* stages, got {sorted(names)}"
+for stage in ("dasc.lsh", "dasc.bucket", "dasc.gram", "dasc.cluster", "dasc.consolidate"):
+    assert stage in names, f"trace lacks stage {stage}: {sorted(names)}"
 print(f"trace OK: {len(events)} events, stages: {sorted(names)}")
 EOF
 else

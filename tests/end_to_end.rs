@@ -93,7 +93,7 @@ fn distributed_and_serial_dasc_match() {
     let serial = Dasc::new(cfg.clone()).run(&ds.points);
     let dist = Dasc::new(cfg).run_distributed(&ds.points, &ClusterConfig::single_node());
 
-    assert_eq!(dist.num_buckets, serial.buckets.len());
+    assert_eq!(dist.buckets.len(), serial.buckets.len());
     assert_eq!(dist.approx_gram_bytes, serial.approx_gram_bytes);
     let a = accuracy(&serial.clustering.assignments, truth);
     let b = accuracy(&dist.clustering.assignments, truth);

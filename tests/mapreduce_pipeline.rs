@@ -64,6 +64,6 @@ fn stats_reflect_job_structure() {
     assert!(result.stage1.num_map_tasks() >= 256 / 32);
     assert_eq!(result.stage1.num_reduce_tasks(), 0);
     assert_eq!(result.stage2.num_map_tasks(), 0);
-    assert_eq!(result.stage2.num_reduce_tasks(), result.num_buckets);
+    assert_eq!(result.stage2.num_reduce_tasks(), result.buckets.len());
     assert_eq!(result.clustering.len(), 256);
 }
