@@ -4,7 +4,7 @@
 //! synthetic blobs at two or three sizes, once pinned to a single
 //! thread and once on the configured pool, and writes
 //! `BENCH_pipeline.json`: per-stage wall-clock (from the same obs span
-//! guards that fill [`dasc_core::DascStageTimes`]), threads used,
+//! guards that fill [`dasc_core::dasc::DascStageTimes`]), threads used,
 //! points/s, and the per-size parallel speedup.
 //!
 //! Usage: `bench_pipeline [--full] [--out PATH]`. Sizes default to the

@@ -329,7 +329,7 @@ impl Dasc {
 
         let clustering = if cfg.consolidate {
             let _consolidate_span = span!("dasc.consolidate");
-            consolidate_fragments(points, &stitched, cfg.k, cfg.seed)
+            consolidate(points, &stitched, cfg.k, cfg.seed)
         } else {
             stitched
         };
@@ -395,27 +395,16 @@ pub fn bucket_cluster_count(k_total: usize, bucket_size: usize, n: usize) -> usi
     share.clamp(1, bucket_size)
 }
 
-/// Public entry to fragment consolidation (weighted K-means over
-/// fragment centroids; see [`consolidate_fragments`]) for external
-/// executors that replay the DASC pipeline — the `dasc-dist`
-/// coordinator finishes its jobs through this exact function.
-pub fn consolidate<P: PointsView + ?Sized>(
-    points: &P,
-    stitched: &Clustering,
-    k: usize,
-    seed: u64,
-) -> Clustering {
-    consolidate_fragments(points, stitched, k, seed)
-}
-
 /// Consolidate the stitched `Σ Kᵢ` fragment clusters down to exactly
 /// `k` global clusters: weighted K-means (k-means++, Lloyd) over the
 /// fragment centroids in input space, fragments weighted by size.
 ///
 /// LSH buckets can split a natural cluster across partitions; this
 /// two-level step reunites fragments, so the final clustering is
-/// comparable to one produced directly with `k` clusters.
-fn consolidate_fragments<P: PointsView + ?Sized>(
+/// comparable to one produced directly with `k` clusters. Every DASC
+/// executor finishes through this function, the `dasc-dist`
+/// coordinator included.
+pub fn consolidate<P: PointsView + ?Sized>(
     points: &P,
     stitched: &Clustering,
     k: usize,

@@ -126,3 +126,52 @@ fn dasc_pipeline_bit_identical_across_thread_counts() {
         assert_eq!(reference.eigen_path, got.eigen_path);
     }
 }
+
+#[test]
+fn lanczos_converges_on_a_low_eigengap_laplacian() {
+    // Overlapping blobs (spread 1.0) with 20% noise give a Laplacian
+    // whose leading eigenvalues crowd together, so one Krylov space of
+    // the default size is not enough. Every returned Ritz pair must
+    // still meet the residual bound and span the dense-k subspace.
+    let (n, k) = (512, 8);
+    let pts = dasc_data::SyntheticConfig::blobs(n, 64, k)
+        .spread(1.0)
+        .noise_fraction(0.2)
+        .seed(2)
+        .generate()
+        .points;
+    let kernel = Kernel::gaussian_median_heuristic(&pts);
+    let mut l = full_gram_flat(&FlatPoints::from_rows(&pts), &kernel);
+    normalized_laplacian_inplace(&mut l);
+    let lanczos = top_eigenvectors_with(&l, k, EigenPath::Lanczos, 7);
+    let dense = top_eigenvectors_with(&l, k, EigenPath::DenseK, 7);
+    let mut lv = vec![0.0; n];
+    let mut worst_res = 0.0f64;
+    let mut worst_proj = 1.0f64;
+    for c in 0..k {
+        let v = lanczos.col(c);
+        l.matvec_into(&v, &mut lv);
+        let lambda: f64 = v.iter().zip(&lv).map(|(a, b)| a * b).sum();
+        let residual = lv
+            .iter()
+            .zip(&v)
+            .map(|(a, b)| (a - lambda * b).powi(2))
+            .sum::<f64>()
+            .sqrt();
+        worst_res = worst_res.max(residual);
+        let in_dense: f64 = (0..k)
+            .map(|d| {
+                dense
+                    .col(d)
+                    .iter()
+                    .zip(&v)
+                    .map(|(a, b)| a * b)
+                    .sum::<f64>()
+                    .powi(2)
+            })
+            .sum();
+        worst_proj = worst_proj.min(in_dense);
+    }
+    assert!(worst_res <= 1e-8, "residual {worst_res:e}");
+    assert!(worst_proj >= 1.0 - 1e-6, "projection {worst_proj}");
+}

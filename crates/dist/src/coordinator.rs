@@ -18,8 +18,8 @@
 //!    `dasc-core` helpers.
 //!
 //! Jobs submitted against a packed dataset store ([`JobData::Ref`])
-//! follow the same flow with the `*Ref` task kinds: tasks carry the
-//! [`DatasetManifest`] and row ranges instead of points, and the
+//! follow the same flow with the same task kinds, whose rows name the
+//! store ([`TaskRows::Store`]) instead of carrying points, and the
 //! coordinator doubles as the name node, serving raw shard bytes to
 //! workers on [`Msg::ShardRequest`] out of the mmap'd store.
 //!
@@ -44,16 +44,20 @@ use std::time::{Duration, Instant};
 
 use dasc_core::{
     bucket_cluster_count, check_reduce_records, consolidate, merge_signature_groups, reduce_order,
-    stitch_distributed, Clustering, LANCZOS_THRESHOLD,
+    stitch_distributed, Clustering,
 };
+use dasc_linalg::PointsView;
 use dasc_lsh::{BucketSet, LshConfig, Signature, SignatureModel};
 use dasc_mapreduce::{split_ranges, ClusterConfig};
 use dasc_net::{ConnId, Server, ServerConfig, ServerHandle, Service};
 use dasc_obs::{labeled, span, InstantRecord, MetricsSnapshot, SpanRecord, TraceLane};
-use dasc_store::{DatasetManifest, StoreReader};
+use dasc_store::StoreReader;
 
 use crate::httpd::HttpHandle;
-use crate::proto::{stage, JobData, JobOutcome, JobSpec, Msg, Task, TaskKind, TaskOutput};
+use crate::proto::{
+    stage, task_input_volume, JobData, JobOutcome, JobSpec, Msg, Task, TaskKind, TaskOutput,
+    TaskRows,
+};
 
 /// A task is flagged as a straggler once its elapsed time exceeds this
 /// multiple of the running-median completed-task duration (Hadoop's
@@ -126,12 +130,6 @@ impl Coordinator {
         }
         self.server.service().state.shutdown();
         self.server.shutdown();
-    }
-
-    /// Workers currently registered and live (test/diagnostic hook).
-    pub fn live_workers(&self) -> usize {
-        let state = self.server.service().state.inner.lock().expect("state");
-        state.workers.len()
     }
 }
 
@@ -721,13 +719,11 @@ impl CoordinatorService {
                     // side so the series exist even for workers that die
                     // before their next heartbeat ships metrics.
                     let duration_us = inflight.assigned_at.elapsed().as_micros() as u64;
-                    let stage_name = match inflight.task.kind {
-                        TaskKind::MapSignatures { .. } | TaskKind::MapSignaturesRef { .. } => "map",
-                        TaskKind::ReduceBucket { .. } | TaskKind::ReduceBucketRef { .. } => {
-                            "reduce"
-                        }
-                    };
-                    let series = labeled("dasc_dist_task_duration_us", "stage", stage_name);
+                    let series = labeled(
+                        "dasc_dist_task_duration_us",
+                        "stage",
+                        inflight.task.kind.stage_name(),
+                    );
                     reg.observe(&series, duration_us);
                     if let Some(name) = worker_name.as_deref() {
                         reg.observe(&labeled(&series, "worker", name), duration_us);
@@ -885,36 +881,6 @@ fn output_volume(output: &TaskOutput) -> (u64, u64) {
     }
 }
 
-/// Payload accounting for task *inputs*: the approximate wire bytes the
-/// coordinator ships to a worker inside one task body (counted once per
-/// task at build time; a retried task re-ships but isn't re-counted).
-/// Inline tasks carry their points; shard-addressed tasks carry only
-/// the hash planes / member ids plus a manifest — the gap between the
-/// two is the shuffle saving the dataset store buys, and it is what
-/// `JobOutcome::shuffle_bytes` measures alongside the output volume.
-pub fn task_input_volume(kind: &TaskKind) -> u64 {
-    fn manifest_bytes(m: &DatasetManifest) -> u64 {
-        37 + 24 * m.shards.len() as u64
-    }
-    fn points_bytes(points: &[Vec<f64>]) -> u64 {
-        points.iter().map(|p| 4 + 8 * p.len() as u64).sum()
-    }
-    match kind {
-        TaskKind::MapSignatures { planes, points, .. } => {
-            16 * planes.len() as u64 + points_bytes(points) + 16
-        }
-        TaskKind::ReduceBucket {
-            members, points, ..
-        } => 8 * members.len() as u64 + points_bytes(points) + 29,
-        TaskKind::MapSignaturesRef {
-            planes, manifest, ..
-        } => 16 * planes.len() as u64 + manifest_bytes(manifest) + 16,
-        TaskKind::ReduceBucketRef {
-            members, manifest, ..
-        } => 8 * members.len() as u64 + manifest_bytes(manifest) + 29,
-    }
-}
-
 /// The resolved dataset a job computes over: the submission's inline
 /// points, or an opened (verified) store served shard-wise to workers.
 enum DataSource<'a> {
@@ -923,10 +889,23 @@ enum DataSource<'a> {
 }
 
 impl DataSource<'_> {
-    fn len(&self) -> usize {
+    /// The whole dataset, for the steps the coordinator runs itself:
+    /// fitting the signature model and consolidation.
+    fn points(&self) -> &dyn PointsView {
         match self {
-            DataSource::Inline(points) => points.len(),
-            DataSource::Store(reader) => reader.len(),
+            DataSource::Inline(points) => points,
+            DataSource::Store(reader) => reader.as_ref(),
+        }
+    }
+
+    /// What a task over the global rows `ids` ships: copies of the
+    /// points, or the store's manifest.
+    fn task_rows(&self, ids: impl IntoIterator<Item = usize>) -> TaskRows {
+        match self {
+            DataSource::Inline(points) => {
+                TaskRows::Inline(ids.into_iter().map(|i| points[i].clone()).collect())
+            }
+            DataSource::Store(reader) => TaskRows::Store(reader.manifest().clone()),
         }
     }
 }
@@ -989,7 +968,15 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
     // identity hash, and registered in the name-node table so workers
     // can fetch its shards.
     let source = match &spec.data {
-        JobData::Inline { points } => DataSource::Inline(points),
+        JobData::Inline { points } => {
+            if points
+                .iter()
+                .any(|p| p.is_empty() || p.len() != points[0].len())
+            {
+                return Err("inline points must share one nonzero dimension".to_string());
+            }
+            DataSource::Inline(points)
+        }
         JobData::Ref { path, content_hash } => {
             let reader = StoreReader::open(Path::new(path))
                 .map_err(|e| format!("open dataset store {path}: {e}"))?;
@@ -1013,7 +1000,7 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
             DataSource::Store(reader)
         }
     };
-    let n = source.len();
+    let n = source.points().len();
     if n == 0 {
         return Err("empty dataset".to_string());
     }
@@ -1039,12 +1026,9 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
     let stage1_span = span!("dist.stage1");
     let stage1_id = shared.trace_begin(job_id, "dist.stage1", job_span_id);
     let stage1_start = Instant::now();
-    // Both arms delegate to the same `fit_view` core, so the fitted
-    // planes are bit-identical between inline and store submissions.
-    let model = match &source {
-        DataSource::Inline(points) => SignatureModel::fit(points, &lsh),
-        DataSource::Store(reader) => SignatureModel::fit_view(reader.as_ref(), &lsh),
-    };
+    // One `fit_view` over either form, so the fitted planes are
+    // bit-identical between inline and store submissions.
+    let model = SignatureModel::fit_view(source.points(), &lsh);
     let ranges = split_ranges(n, &shared.cluster);
     let first_id = shared.alloc_task_ids(ranges.len());
     let map_tasks: Vec<Task> = ranges
@@ -1055,20 +1039,11 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
             task_id: first_id + i as u64,
             attempt: 1,
             trace_parent: stage1_id,
-            kind: match &source {
-                DataSource::Inline(points) => TaskKind::MapSignatures {
-                    num_bits: model.num_bits(),
-                    planes: model.planes().to_vec(),
-                    start,
-                    points: points[start..start + len].to_vec(),
-                },
-                DataSource::Store(reader) => TaskKind::MapSignaturesRef {
-                    num_bits: model.num_bits(),
-                    planes: model.planes().to_vec(),
-                    manifest: reader.manifest().clone(),
-                    start,
-                    len,
-                },
+            kind: TaskKind::MapSignatures {
+                planes: model.planes().to_vec(),
+                start,
+                len,
+                rows: source.task_rows(start..start + len),
             },
         })
         .collect();
@@ -1098,25 +1073,13 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
             task_id: first_id + bi as u64,
             attempt: 1,
             trace_parent: stage2_id,
-            kind: match &source {
-                DataSource::Inline(points) => TaskKind::ReduceBucket {
-                    bucket_id: bi,
-                    ki: bucket_cluster_count(spec.k, b.members.len(), n),
-                    kernel: spec.kernel,
-                    seed: spec.seed,
-                    lanczos_threshold: LANCZOS_THRESHOLD,
-                    members: b.members.clone(),
-                    points: b.members.iter().map(|&i| points[i].clone()).collect(),
-                },
-                DataSource::Store(reader) => TaskKind::ReduceBucketRef {
-                    bucket_id: bi,
-                    ki: bucket_cluster_count(spec.k, b.members.len(), n),
-                    kernel: spec.kernel,
-                    seed: spec.seed,
-                    lanczos_threshold: LANCZOS_THRESHOLD,
-                    manifest: reader.manifest().clone(),
-                    members: b.members.clone(),
-                },
+            kind: TaskKind::ReduceBucket {
+                bucket_id: bi,
+                ki: bucket_cluster_count(spec.k, b.members.len(), n),
+                kernel: spec.kernel,
+                seed: spec.seed,
+                members: b.members.clone(),
+                rows: source.task_rows(b.members.iter().copied()),
             },
         })
         .collect();
@@ -1140,10 +1103,7 @@ fn execute_job(shared: &SharedState, job_id: u64, spec: &JobSpec) -> Result<JobO
     let records = collect_reduce_records(n, spec.k, &sizes, reduce_outputs.values())?;
     let stitched = stitch_distributed(n, spec.k, &sizes, &records);
     let clustering: Clustering = if spec.consolidate {
-        match &source {
-            DataSource::Inline(points) => consolidate(*points, &stitched, spec.k, spec.seed),
-            DataSource::Store(reader) => consolidate(reader.as_ref(), &stitched, spec.k, spec.seed),
-        }
+        consolidate(source.points(), &stitched, spec.k, spec.seed)
     } else {
         stitched
     };

@@ -21,10 +21,11 @@
 //!
 //! Datasets travel either inline in the submission
 //! ([`JobData::Inline`]) or as a reference to a packed `.dstr` store on
-//! the coordinator's filesystem ([`JobData::Ref`]): tasks then carry
-//! shard tables and row ranges instead of points, and workers pull
-//! shard bytes through a checksum-verified LRU cache
-//! ([`worker::ShardSource`]). Both paths run the same shared numerical
+//! the coordinator's filesystem ([`JobData::Ref`]). There is one task
+//! kind per stage ([`TaskKind`]), and its rows ([`TaskRows`]) either
+//! ride inline or name the store: then only the shard table travels,
+//! and workers pull shard bytes through a checksum-verified LRU cache
+//! ([`worker::ShardSource`]). Both forms run the same shared numerical
 //! bodies, so their outputs are bit-identical too.
 
 pub mod client;
@@ -34,9 +35,9 @@ pub mod proto;
 pub mod worker;
 
 pub use client::{client_config, rpc, JobClient};
-pub use coordinator::{task_input_volume, Coordinator};
+pub use coordinator::Coordinator;
 pub use httpd::HttpHandle;
-pub use proto::{JobData, JobOutcome, JobSpec, Msg, MsgType, Task, TaskKind, TaskOutput};
+pub use proto::{JobData, JobOutcome, JobSpec, Msg, MsgType, Task, TaskKind, TaskOutput, TaskRows};
 pub use worker::{
     execute_task, execute_task_traced, run_worker, ShardSource, WorkerHandle, WorkerOptions,
 };

@@ -4,14 +4,18 @@
 //! [`MsgType`] discriminant and the payload is the [`Wire`]-encoded
 //! body. The scheme is deliberately Hadoop-shaped: workers *pull* tasks
 //! ([`RequestTask`](Msg::RequestTask)) the way task trackers ask the
-//! job tracker for work on each heartbeat. Task inputs travel one of
-//! two ways: inline (points embedded in the task body — the original
-//! scheme, still the fallback), or **shard-addressed** — a job
-//! submitted against a packed `.dstr` dataset ships only the
-//! [`DatasetManifest`] plus row ranges, and workers resolve the shard
-//! bytes through a local cache, fetching misses from the coordinator
-//! with [`ShardRequest`](Msg::ShardRequest) (the coordinator plays
-//! both job tracker and name node).
+//! job tracker for work on each heartbeat.
+//!
+//! There is one task kind per stage of the paper's jobflow:
+//! [`TaskKind::MapSignatures`] (Algorithm 1) and
+//! [`TaskKind::ReduceBucket`] (Algorithm 2 plus the spectral step).
+//! Either names its input rows through [`TaskRows`]: inline (the
+//! task's own points, in task order), or by store — a job submitted
+//! against a packed `.dstr` dataset ships only its [`DatasetManifest`],
+//! in the store's own self-hashed encoding, and workers resolve the
+//! rows through a local shard cache, fetching misses from the
+//! coordinator with [`ShardRequest`](Msg::ShardRequest) (the
+//! coordinator plays both job tracker and name node).
 //!
 //! | tag | message        | direction            |
 //! |-----|----------------|----------------------|
@@ -47,65 +51,50 @@ use dasc_kernel::Kernel;
 use dasc_lsh::HashPlane;
 use dasc_net::{Wire, WireError, WireReader, WireWriter};
 use dasc_obs::{HistogramSnapshot, MetricsSnapshot, SpanRecord, HISTOGRAM_BUCKETS};
-use dasc_store::{DatasetManifest, ShardMeta};
+use dasc_store::format::{decode_manifest, encode_manifest};
+use dasc_store::DatasetManifest;
 
-/// Frame `msg_type` values (see module table).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u16)]
-pub enum MsgType {
-    Register = 1,
-    RegisterAck = 2,
-    Heartbeat = 3,
-    HeartbeatAck = 4,
-    RequestTask = 5,
-    AssignTask = 6,
-    NoTask = 7,
-    TaskDone = 8,
-    TaskAck = 9,
-    SubmitJob = 10,
-    JobAccepted = 11,
-    PollJob = 12,
-    JobPending = 13,
-    JobResult = 14,
-    JobError = 15,
-    MetricsRequest = 16,
-    MetricsReply = 17,
-    TaskFailed = 18,
-    TraceRequest = 19,
-    TraceReply = 20,
-    ShardRequest = 21,
-    ShardReply = 22,
+/// Declares [`MsgType`] from one `Name = tag` list, together with the
+/// two maps that must agree with it: [`MsgType::from_u16`] and
+/// [`Msg::msg_type`] (every [`Msg`] variant travels under the tag of
+/// the same name).
+macro_rules! msg_types {
+    ($($name:ident = $tag:literal,)*) => {
+        /// Frame `msg_type` values (see module table).
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(u16)]
+        pub enum MsgType {
+            $($name = $tag,)*
+        }
+
+        impl MsgType {
+            /// Parse a frame's `msg_type` field.
+            pub fn from_u16(v: u16) -> Option<Self> {
+                match v {
+                    $($tag => Some(MsgType::$name),)*
+                    _ => None,
+                }
+            }
+        }
+
+        impl Msg {
+            /// The frame tag this message travels under.
+            pub fn msg_type(&self) -> MsgType {
+                match self {
+                    $(Msg::$name { .. } => MsgType::$name,)*
+                }
+            }
+        }
+    };
 }
 
-impl MsgType {
-    /// Parse a frame's `msg_type` field.
-    pub fn from_u16(v: u16) -> Option<Self> {
-        Some(match v {
-            1 => MsgType::Register,
-            2 => MsgType::RegisterAck,
-            3 => MsgType::Heartbeat,
-            4 => MsgType::HeartbeatAck,
-            5 => MsgType::RequestTask,
-            6 => MsgType::AssignTask,
-            7 => MsgType::NoTask,
-            8 => MsgType::TaskDone,
-            9 => MsgType::TaskAck,
-            10 => MsgType::SubmitJob,
-            11 => MsgType::JobAccepted,
-            12 => MsgType::PollJob,
-            13 => MsgType::JobPending,
-            14 => MsgType::JobResult,
-            15 => MsgType::JobError,
-            16 => MsgType::MetricsRequest,
-            17 => MsgType::MetricsReply,
-            18 => MsgType::TaskFailed,
-            19 => MsgType::TraceRequest,
-            20 => MsgType::TraceReply,
-            21 => MsgType::ShardRequest,
-            22 => MsgType::ShardReply,
-            _ => return None,
-        })
-    }
+msg_types! {
+    Register = 1, RegisterAck = 2, Heartbeat = 3, HeartbeatAck = 4,
+    RequestTask = 5, AssignTask = 6, NoTask = 7, TaskDone = 8, TaskAck = 9,
+    SubmitJob = 10, JobAccepted = 11, PollJob = 12, JobPending = 13,
+    JobResult = 14, JobError = 15, MetricsRequest = 16, MetricsReply = 17,
+    TaskFailed = 18, TraceRequest = 19, TraceReply = 20, ShardRequest = 21,
+    ShardReply = 22,
 }
 
 /// One protocol message; [`Msg::msg_type`] names its frame tag.
@@ -216,21 +205,21 @@ pub struct Task {
     pub kind: TaskKind,
 }
 
-/// Task bodies. Inputs ride inline — the coordinator is the data node.
+/// Task bodies: one per stage.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TaskKind {
-    /// Stage 1 (Algorithm 1): hash a contiguous slice of points with
-    /// the frozen signature model; emit `(bits, point_index)` grouped
-    /// by signature.
+    /// Stage 1 (Algorithm 1): hash the global rows `start..start + len`
+    /// with the frozen signature model; emit `(bits, point_index)`
+    /// grouped by signature.
     MapSignatures {
-        /// Signature width M.
-        num_bits: usize,
         /// The fitted model's hash planes, in bit order.
         planes: Vec<HashPlane>,
-        /// Global index of `points[0]`.
+        /// First global row of the range.
         start: usize,
-        /// The slice to hash.
-        points: Vec<Vec<f64>>,
+        /// Rows in the range.
+        len: usize,
+        /// The range's rows.
+        rows: TaskRows,
     },
     /// Stage 2 (Algorithm 2 + spectral step): cluster one merged
     /// bucket's points into `ki` local clusters.
@@ -244,47 +233,33 @@ pub enum TaskKind {
         kernel: Kernel,
         /// Run seed (bucket seed derives from it).
         seed: u64,
-        /// Dense→Lanczos crossover.
-        lanczos_threshold: usize,
         /// Global point ids, in bucket order.
         members: Vec<usize>,
-        /// The bucket's points, parallel to `members`.
-        points: Vec<Vec<f64>>,
+        /// The members' rows.
+        rows: TaskRows,
     },
-    /// Shard-addressed stage 1: hash the global row range
-    /// `start..start + len` of the manifest's dataset. Ships no point
-    /// data — the worker resolves rows from its shard cache.
-    MapSignaturesRef {
-        /// Signature width M.
-        num_bits: usize,
-        /// The fitted model's hash planes, in bit order.
-        planes: Vec<HashPlane>,
-        /// Shard table of the dataset the rows live in.
-        manifest: DatasetManifest,
-        /// First global row of the range.
-        start: usize,
-        /// Rows in the range.
-        len: usize,
-    },
-    /// Shard-addressed stage 2: cluster the bucket whose members are
-    /// the listed global rows of the manifest's dataset.
-    ReduceBucketRef {
-        /// Bucket index in the merged bucket set (drives the spectral
-        /// seed derivation).
-        bucket_id: usize,
-        /// Clusters apportioned to this bucket.
-        ki: usize,
-        /// Kernel for the sub-similarity block.
-        kernel: Kernel,
-        /// Run seed (bucket seed derives from it).
-        seed: u64,
-        /// Dense→Lanczos crossover.
-        lanczos_threshold: usize,
-        /// Shard table of the dataset the members live in.
-        manifest: DatasetManifest,
-        /// Global point ids, in bucket order.
-        members: Vec<usize>,
-    },
+}
+
+impl TaskKind {
+    /// The stage name tasks of this kind are reported under.
+    pub(crate) fn stage_name(&self) -> &'static str {
+        match self {
+            TaskKind::MapSignatures { .. } => "map",
+            TaskKind::ReduceBucket { .. } => "reduce",
+        }
+    }
+}
+
+/// Where a task's input rows come from.
+#[derive(Clone, Debug, PartialEq)]
+pub enum TaskRows {
+    /// The task's own rows, in task order: the coordinator is the data
+    /// node.
+    Inline(Vec<Vec<f64>>),
+    /// Rows of a packed `.dstr` dataset, named by global id; only the
+    /// shard table travels, and the worker resolves the rows from its
+    /// shard cache.
+    Store(DatasetManifest),
 }
 
 /// What a completed task ships back.
@@ -504,53 +479,6 @@ fn decode_metrics(r: &mut WireReader<'_>) -> Result<MetricsSnapshot, WireError> 
     Ok(m)
 }
 
-/// Newtype to give [`DatasetManifest`] a wire form without dasc-store
-/// depending on dasc-net (the store's own serialization is its on-disk
-/// format, which carries magic bytes and a self-hash the wire form
-/// doesn't need — tasks already travel inside checksummed frames).
-struct WireManifest(DatasetManifest);
-
-impl Wire for WireManifest {
-    fn encode(&self, w: &mut WireWriter) {
-        let m = &self.0;
-        w.put_u64(m.content_hash);
-        w.put_u64(m.n);
-        w.put_u64(m.dim);
-        w.put_bool(m.has_labels);
-        w.put_u64(m.shard_rows);
-        w.put_u32(m.shards.len() as u32);
-        for s in &m.shards {
-            w.put_u64(s.rows);
-            w.put_u64(s.byte_len);
-            w.put_u64(s.checksum);
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let content_hash = r.u64()?;
-        let n = r.u64()?;
-        let dim = r.u64()?;
-        let has_labels = r.bool()?;
-        let shard_rows = r.u64()?;
-        let count = r.seq_len()?;
-        let mut shards = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            shards.push(ShardMeta {
-                rows: r.u64()?,
-                byte_len: r.u64()?,
-                checksum: r.u64()?,
-            });
-        }
-        Ok(WireManifest(DatasetManifest {
-            content_hash,
-            n,
-            dim,
-            has_labels,
-            shard_rows,
-            shards,
-        }))
-    }
-}
-
 /// Newtype to give [`HashPlane`] a wire form without dasc-lsh depending
 /// on dasc-net.
 struct WirePlane(HashPlane);
@@ -568,137 +496,179 @@ impl Wire for WirePlane {
     }
 }
 
-impl Wire for Task {
+fn encode_rows(rows: &TaskRows, w: &mut WireWriter) {
+    match rows {
+        TaskRows::Inline(points) => {
+            w.put_u8(0);
+            points.encode(w);
+        }
+        TaskRows::Store(m) => {
+            w.put_u8(1);
+            let (bytes, hash) = encode_manifest(m.n, m.dim, m.has_labels, m.shard_rows, &m.shards);
+            debug_assert_eq!(hash, m.content_hash, "manifest hash is stale");
+            w.put_blob(&bytes);
+        }
+    }
+}
+
+/// Decode the rows of a task that names `count` rows, every global id
+/// below `end`. Inline rows must number `count` and share one
+/// dimension; a store manifest must pass `decode_manifest` and hold
+/// every named row.
+fn decode_rows(r: &mut WireReader<'_>, count: usize, end: usize) -> Result<TaskRows, WireError> {
+    match r.u8()? {
+        0 => {
+            let points: Vec<Vec<f64>> = Vec::decode(r)?;
+            if points.len() != count {
+                return Err(WireError::Invalid("inline row count"));
+            }
+            if points.iter().any(|p| p.len() != points[0].len()) {
+                return Err(WireError::Invalid("ragged inline rows"));
+            }
+            Ok(TaskRows::Inline(points))
+        }
+        1 => {
+            let manifest =
+                decode_manifest(&r.blob()?).map_err(|_| WireError::Invalid("task manifest"))?;
+            if end as u64 > manifest.n {
+                return Err(WireError::Invalid("task row outside the dataset"));
+            }
+            Ok(TaskRows::Store(manifest))
+        }
+        _ => Err(WireError::Invalid("task rows tag")),
+    }
+}
+
+impl Wire for TaskKind {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.job_id);
-        w.put_u64(self.task_id);
-        w.put_u32(self.attempt);
-        w.put_u64(self.trace_parent);
-        match &self.kind {
+        match self {
             TaskKind::MapSignatures {
-                num_bits,
                 planes,
                 start,
-                points,
+                len,
+                rows,
             } => {
                 w.put_u8(0);
-                w.put_usize(*num_bits);
                 planes
                     .iter()
                     .map(|&p| WirePlane(p))
                     .collect::<Vec<_>>()
                     .encode(w);
                 w.put_usize(*start);
-                points.encode(w);
+                w.put_usize(*len);
+                encode_rows(rows, w);
             }
             TaskKind::ReduceBucket {
                 bucket_id,
                 ki,
                 kernel,
                 seed,
-                lanczos_threshold,
                 members,
-                points,
+                rows,
             } => {
                 w.put_u8(1);
                 w.put_usize(*bucket_id);
                 w.put_usize(*ki);
                 encode_kernel(kernel, w);
                 w.put_u64(*seed);
-                w.put_usize(*lanczos_threshold);
                 members.encode(w);
-                points.encode(w);
-            }
-            TaskKind::MapSignaturesRef {
-                num_bits,
-                planes,
-                manifest,
-                start,
-                len,
-            } => {
-                w.put_u8(2);
-                w.put_usize(*num_bits);
-                planes
-                    .iter()
-                    .map(|&p| WirePlane(p))
-                    .collect::<Vec<_>>()
-                    .encode(w);
-                WireManifest(manifest.clone()).encode(w);
-                w.put_usize(*start);
-                w.put_usize(*len);
-            }
-            TaskKind::ReduceBucketRef {
-                bucket_id,
-                ki,
-                kernel,
-                seed,
-                lanczos_threshold,
-                manifest,
-                members,
-            } => {
-                w.put_u8(3);
-                w.put_usize(*bucket_id);
-                w.put_usize(*ki);
-                encode_kernel(kernel, w);
-                w.put_u64(*seed);
-                w.put_usize(*lanczos_threshold);
-                WireManifest(manifest.clone()).encode(w);
-                members.encode(w);
+                encode_rows(rows, w);
             }
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let job_id = r.u64()?;
-        let task_id = r.u64()?;
-        let attempt = r.u32()?;
-        let trace_parent = r.u64()?;
-        let kind = match r.u8()? {
-            0 => TaskKind::MapSignatures {
-                num_bits: r.usize()?,
-                planes: Vec::<WirePlane>::decode(r)?
+        Ok(match r.u8()? {
+            0 => {
+                let planes = Vec::<WirePlane>::decode(r)?
                     .into_iter()
                     .map(|p| p.0)
-                    .collect(),
-                start: r.usize()?,
-                points: Vec::decode(r)?,
-            },
-            1 => TaskKind::ReduceBucket {
-                bucket_id: r.usize()?,
-                ki: r.usize()?,
-                kernel: decode_kernel(r)?,
-                seed: r.u64()?,
-                lanczos_threshold: r.usize()?,
-                members: Vec::decode(r)?,
-                points: Vec::decode(r)?,
-            },
-            2 => TaskKind::MapSignaturesRef {
-                num_bits: r.usize()?,
-                planes: Vec::<WirePlane>::decode(r)?
-                    .into_iter()
-                    .map(|p| p.0)
-                    .collect(),
-                manifest: WireManifest::decode(r)?.0,
-                start: r.usize()?,
-                len: r.usize()?,
-            },
-            3 => TaskKind::ReduceBucketRef {
-                bucket_id: r.usize()?,
-                ki: r.usize()?,
-                kernel: decode_kernel(r)?,
-                seed: r.u64()?,
-                lanczos_threshold: r.usize()?,
-                manifest: WireManifest::decode(r)?.0,
-                members: Vec::decode(r)?,
-            },
+                    .collect();
+                let start = r.usize()?;
+                let len = r.usize()?;
+                let end = start
+                    .checked_add(len)
+                    .ok_or(WireError::Invalid("usize overflow"))?;
+                TaskKind::MapSignatures {
+                    planes,
+                    start,
+                    len,
+                    rows: decode_rows(r, len, end)?,
+                }
+            }
+            1 => {
+                let bucket_id = r.usize()?;
+                let ki = r.usize()?;
+                let kernel = decode_kernel(r)?;
+                let seed = r.u64()?;
+                let members: Vec<usize> = Vec::decode(r)?;
+                let end = members.iter().max().map_or(0, |&m| m.saturating_add(1));
+                TaskKind::ReduceBucket {
+                    bucket_id,
+                    ki,
+                    kernel,
+                    seed,
+                    rows: decode_rows(r, members.len(), end)?,
+                    members,
+                }
+            }
             _ => return Err(WireError::Invalid("task kind tag")),
-        };
+        })
+    }
+}
+
+/// Wire bytes of a task body: the encoded length of `kind`, computed
+/// from its shape without encoding it (counted once per task at build
+/// time; a retried task re-ships but isn't re-counted). Inline tasks
+/// carry their points; store tasks carry only the hash planes or
+/// member ids plus a manifest — the gap between the two is the shuffle
+/// saving the dataset store buys, and it is what
+/// `JobOutcome::shuffle_bytes` measures alongside the output volume.
+pub(crate) fn task_input_volume(kind: &TaskKind) -> u64 {
+    // Each term mirrors one field of the encoders above: a u8 tag, u64
+    // scalars, u32-prefixed sequences of 16-byte planes, u64 ids and
+    // f64 rows.
+    let (fields, rows) = match kind {
+        TaskKind::MapSignatures { planes, rows, .. } => (4 + 16 * planes.len() + 16, rows),
+        TaskKind::ReduceBucket {
+            kernel,
+            members,
+            rows,
+            ..
+        } => {
+            let kernel_len = match kernel {
+                Kernel::Linear => 1,
+                Kernel::Gaussian { .. } | Kernel::Laplacian { .. } => 9,
+                Kernel::Polynomial { .. } => 13,
+            };
+            (16 + kernel_len + 8 + 4 + 8 * members.len(), rows)
+        }
+    };
+    let rows_len = match rows {
+        TaskRows::Inline(points) => 4 + points.iter().map(|p| 4 + 8 * p.len()).sum::<usize>(),
+        // A blob prefix plus the manifest file: 36 header bytes, 24 per
+        // shard, and the trailing content hash.
+        TaskRows::Store(m) => 4 + 44 + 24 * m.shards.len(),
+    };
+    (2 + fields + rows_len) as u64
+}
+
+impl Wire for Task {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_u64(self.job_id);
+        w.put_u64(self.task_id);
+        w.put_u32(self.attempt);
+        w.put_u64(self.trace_parent);
+        self.kind.encode(w);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Task {
-            job_id,
-            task_id,
-            attempt,
-            trace_parent,
-            kind,
+            job_id: r.u64()?,
+            task_id: r.u64()?,
+            attempt: r.u32()?,
+            trace_parent: r.u64()?,
+            kind: TaskKind::decode(r)?,
         })
     }
 }
@@ -804,34 +774,6 @@ impl Wire for JobOutcome {
 }
 
 impl Msg {
-    /// The frame tag this message travels under.
-    pub fn msg_type(&self) -> MsgType {
-        match self {
-            Msg::Register { .. } => MsgType::Register,
-            Msg::RegisterAck { .. } => MsgType::RegisterAck,
-            Msg::Heartbeat { .. } => MsgType::Heartbeat,
-            Msg::HeartbeatAck => MsgType::HeartbeatAck,
-            Msg::RequestTask { .. } => MsgType::RequestTask,
-            Msg::AssignTask { .. } => MsgType::AssignTask,
-            Msg::NoTask { .. } => MsgType::NoTask,
-            Msg::TaskDone { .. } => MsgType::TaskDone,
-            Msg::TaskAck => MsgType::TaskAck,
-            Msg::SubmitJob { .. } => MsgType::SubmitJob,
-            Msg::JobAccepted { .. } => MsgType::JobAccepted,
-            Msg::PollJob { .. } => MsgType::PollJob,
-            Msg::JobPending { .. } => MsgType::JobPending,
-            Msg::JobResult { .. } => MsgType::JobResult,
-            Msg::JobError { .. } => MsgType::JobError,
-            Msg::MetricsRequest => MsgType::MetricsRequest,
-            Msg::MetricsReply { .. } => MsgType::MetricsReply,
-            Msg::TaskFailed { .. } => MsgType::TaskFailed,
-            Msg::TraceRequest { .. } => MsgType::TraceRequest,
-            Msg::TraceReply { .. } => MsgType::TraceReply,
-            Msg::ShardRequest { .. } => MsgType::ShardRequest,
-            Msg::ShardReply { .. } => MsgType::ShardReply,
-        }
-    }
-
     /// Encode the body (frame payload, without the frame header).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
@@ -963,6 +905,69 @@ impl Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dasc_net::encode_to_vec;
+    use dasc_store::format::shard_byte_len;
+    use dasc_store::ShardMeta;
+
+    /// A valid manifest: 10 labeled rows of dimension 2 in shards of 4.
+    fn manifest() -> DatasetManifest {
+        let shards: Vec<ShardMeta> = [4, 4, 2]
+            .into_iter()
+            .map(|rows| ShardMeta {
+                rows,
+                byte_len: shard_byte_len(rows, 2, true),
+                checksum: rows * 11,
+            })
+            .collect();
+        decode_manifest(&encode_manifest(10, 2, true, 4, &shards).0).expect("valid manifest")
+    }
+
+    /// One task per stage and row form: map inline, reduce inline, map
+    /// by store, reduce by store.
+    fn sample_tasks() -> [Task; 4] {
+        let map = |rows| TaskKind::MapSignatures {
+            planes: vec![
+                HashPlane {
+                    dimension: 1,
+                    threshold: 0.5,
+                },
+                HashPlane {
+                    dimension: 0,
+                    threshold: -1.25,
+                },
+            ],
+            start: 4,
+            len: 2,
+            rows,
+        };
+        let reduce = |rows| TaskKind::ReduceBucket {
+            bucket_id: 7,
+            ki: 2,
+            kernel: Kernel::Gaussian { sigma: 0.5 },
+            seed: 0xDA5C,
+            members: vec![3, 9],
+            rows,
+        };
+        let inline = || TaskRows::Inline(vec![vec![0.25, 1.0], vec![-2.0, 0.0]]);
+        let store = || TaskRows::Store(manifest());
+        [
+            map(inline()),
+            reduce(inline()),
+            map(store()),
+            reduce(store()),
+        ]
+        .map(|kind| Task {
+            job_id: 1,
+            task_id: 42,
+            attempt: 2,
+            trace_parent: 3,
+            kind,
+        })
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
 
     fn roundtrip(msg: Msg) {
         let payload = msg.encode_payload();
@@ -972,97 +977,7 @@ mod tests {
 
     #[test]
     fn every_message_variant_roundtrips() {
-        let map_task = Task {
-            job_id: 1,
-            task_id: 42,
-            attempt: 1,
-            trace_parent: 3,
-            kind: TaskKind::MapSignatures {
-                num_bits: 4,
-                planes: vec![
-                    HashPlane {
-                        dimension: 3,
-                        threshold: 0.5,
-                    },
-                    HashPlane {
-                        dimension: 0,
-                        threshold: -1.25,
-                    },
-                ],
-                start: 128,
-                points: vec![vec![0.1, 0.2], vec![0.3, 0.4]],
-            },
-        };
-        let reduce_task = Task {
-            job_id: 1,
-            task_id: 43,
-            attempt: 2,
-            trace_parent: 0,
-            kind: TaskKind::ReduceBucket {
-                bucket_id: 7,
-                ki: 2,
-                kernel: Kernel::Gaussian { sigma: 0.2 },
-                seed: 0xDA5C,
-                lanczos_threshold: 512,
-                members: vec![5, 9, 11],
-                points: vec![vec![0.0; 2]; 3],
-            },
-        };
-        let manifest = DatasetManifest {
-            content_hash: 0xFEED_BEEF,
-            n: 10,
-            dim: 2,
-            has_labels: true,
-            shard_rows: 4,
-            shards: vec![
-                ShardMeta {
-                    rows: 4,
-                    byte_len: 200,
-                    checksum: 11,
-                },
-                ShardMeta {
-                    rows: 4,
-                    byte_len: 200,
-                    checksum: 22,
-                },
-                ShardMeta {
-                    rows: 2,
-                    byte_len: 120,
-                    checksum: 33,
-                },
-            ],
-        };
-        let map_ref_task = Task {
-            job_id: 2,
-            task_id: 44,
-            attempt: 1,
-            trace_parent: 5,
-            kind: TaskKind::MapSignaturesRef {
-                num_bits: 4,
-                planes: vec![HashPlane {
-                    dimension: 1,
-                    threshold: 0.25,
-                }],
-                manifest: manifest.clone(),
-                start: 4,
-                len: 6,
-            },
-        };
-        let reduce_ref_task = Task {
-            job_id: 2,
-            task_id: 45,
-            attempt: 3,
-            trace_parent: 0,
-            kind: TaskKind::ReduceBucketRef {
-                bucket_id: 1,
-                ki: 2,
-                kernel: Kernel::Gaussian { sigma: 0.2 },
-                seed: 0xDA5C,
-                lanczos_threshold: 512,
-                manifest,
-                members: vec![0, 3, 8, 9],
-            },
-        };
+        let [map_task, reduce_task, map_ref_task, reduce_ref_task] = sample_tasks();
         let mut worker_metrics = MetricsSnapshot::default();
         worker_metrics
             .counters
@@ -1278,5 +1193,122 @@ mod tests {
                 "cut={cut}"
             );
         }
+    }
+
+    #[test]
+    fn assign_task_payloads_match_golden_bytes() {
+        // Header (job 1, task 42, attempt 2, trace parent 3), then the
+        // kind tag, the stage's fields, the rows tag and the rows.
+        const HEADER: &str = "01000000000000002a00000000000000020000000300000000000000";
+        const MAP: &str = "00 02000000 0100000000000000 000000000000e03f \
+                           0000000000000000 000000000000f4bf \
+                           0400000000000000 0200000000000000";
+        const REDUCE: &str = "01 0700000000000000 0200000000000000 00 000000000000e03f \
+                              5cda000000000000 02000000 0300000000000000 0900000000000000";
+        const INLINE_ROWS: &str = "00 02000000 \
+                                   02000000 000000000000d03f 000000000000f03f \
+                                   02000000 00000000000000c0 0000000000000000";
+        // A 116-byte blob: the manifest file of `manifest()`.
+        const STORE_ROWS: &str = "01 74000000 44535452 0100 0100 0a00000000000000 \
+                                  0200000000000000 0400000000000000 03000000 \
+                                  0400000000000000 a800000000000000 2c00000000000000 \
+                                  0400000000000000 a800000000000000 2c00000000000000 \
+                                  0200000000000000 7800000000000000 1600000000000000 \
+                                  81a47ea85c78480e";
+        let golden = [
+            format!("{HEADER}{MAP}{INLINE_ROWS}"),
+            format!("{HEADER}{REDUCE}{INLINE_ROWS}"),
+            format!("{HEADER}{MAP}{STORE_ROWS}"),
+            format!("{HEADER}{REDUCE}{STORE_ROWS}"),
+        ];
+        for (task, want) in sample_tasks().into_iter().zip(golden) {
+            let got = hex(&Msg::AssignTask { task }.encode_payload());
+            assert_eq!(got, want.replace(' ', ""));
+        }
+    }
+
+    #[test]
+    fn task_input_volume_is_the_encoded_body_length() {
+        for task in sample_tasks() {
+            assert_eq!(
+                task_input_volume(&task.kind),
+                encode_to_vec(&task.kind).len() as u64,
+                "{task:?}"
+            );
+        }
+        for kernel in [
+            Kernel::Linear,
+            Kernel::Polynomial { degree: 3, c: 1.0 },
+            Kernel::Laplacian { gamma: 0.3 },
+        ] {
+            let kind = TaskKind::ReduceBucket {
+                bucket_id: 0,
+                ki: 1,
+                kernel,
+                seed: 1,
+                members: vec![0],
+                rows: TaskRows::Inline(vec![vec![1.0; 3]]),
+            };
+            assert_eq!(task_input_volume(&kind), encode_to_vec(&kind).len() as u64);
+        }
+    }
+
+    #[test]
+    fn task_with_a_bad_manifest_is_a_typed_decode_error() {
+        let [_, _, map_ref_task, _] = sample_tasks();
+        let payload = Msg::AssignTask { task: map_ref_task }.encode_payload();
+        // Flip one bit of the manifest's `n` field: the blob still
+        // frames correctly, but its content hash no longer matches.
+        let manifest_at = payload.len() - (44 + 24 * 3);
+        let mut corrupt = payload.clone();
+        corrupt[manifest_at + 8] ^= 1;
+        assert_eq!(
+            Msg::decode_frame(MsgType::AssignTask as u16, &corrupt),
+            Err(WireError::Invalid("task manifest"))
+        );
+    }
+
+    #[test]
+    fn task_rows_must_match_the_named_rows() {
+        let [map_task, reduce_task, map_ref_task, _] = sample_tasks();
+        let mutate = |mut task: Task, f: fn(&mut TaskKind)| {
+            f(&mut task.kind);
+            Msg::decode_frame(
+                MsgType::AssignTask as u16,
+                &Msg::AssignTask { task }.encode_payload(),
+            )
+        };
+        let short_map = mutate(map_task, |k| {
+            if let TaskKind::MapSignatures { len, .. } = k {
+                *len = 3;
+            }
+        });
+        assert_eq!(short_map, Err(WireError::Invalid("inline row count")));
+        let short_reduce = mutate(reduce_task.clone(), |k| {
+            if let TaskKind::ReduceBucket { members, .. } = k {
+                members.push(11);
+            }
+        });
+        assert_eq!(short_reduce, Err(WireError::Invalid("inline row count")));
+        let ragged = mutate(reduce_task.clone(), |k| {
+            if let TaskKind::ReduceBucket {
+                rows: TaskRows::Inline(points),
+                ..
+            } = k
+            {
+                points[1].push(1.0);
+            }
+        });
+        assert_eq!(ragged, Err(WireError::Invalid("ragged inline rows")));
+        // The manifest holds rows 0..10, so rows 4..11 run off its end.
+        let past_end = mutate(map_ref_task, |k| {
+            if let TaskKind::MapSignatures { len, .. } = k {
+                *len = 7;
+            }
+        });
+        assert_eq!(
+            past_end,
+            Err(WireError::Invalid("task row outside the dataset"))
+        );
     }
 }

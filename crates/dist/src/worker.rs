@@ -7,18 +7,17 @@
 //! every `Dasc` entry point runs, so the numerics are shared code with
 //! the single-process path:
 //!
-//! * `MapSignatures` / `MapSignaturesRef` →
-//!   [`dasc_core::map_signatures`] (Algorithm 1);
-//! * `ReduceBucket` / `ReduceBucketRef` → [`dasc_core::reduce_bucket`]
-//!   (Algorithm 2 plus the spectral step).
+//! * `MapSignatures` → [`dasc_core::map_signatures`] (Algorithm 1);
+//! * `ReduceBucket` → [`dasc_core::reduce_bucket`] (Algorithm 2 plus
+//!   the spectral step).
 //!
-//! Shard-addressed tasks (`MapSignaturesRef` / `ReduceBucketRef`)
-//! carry no points; the worker resolves the referenced global rows
-//! through its [`ShardSource`] — a byte-bounded LRU shard cache that
-//! fetches misses from the coordinator with `ShardRequest` RPCs and
-//! verifies every fetched shard against the manifest checksum — and
-//! hands them to the same body its inline twin uses, so a ref task's
-//! output is bit-identical to the inline task's.
+//! A task's rows ride inline or are named by store ([`TaskRows`]).
+//! Store rows are resolved through the worker's [`ShardSource`] — a
+//! byte-bounded LRU shard cache that fetches misses from the
+//! coordinator with `ShardRequest` RPCs and verifies every fetched
+//! shard against the manifest checksum — and reach the same body as
+//! inline rows, so a store task's output is bit-identical to the inline
+//! task's.
 //!
 //! For fault-injection tests, [`WorkerOptions::die_after_assignments`]
 //! makes the worker drop all its connections and stop the moment it
@@ -30,7 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dasc_core::{map_signatures, reduce_bucket};
+use dasc_core::{map_signatures, reduce_bucket, LANCZOS_THRESHOLD};
 use dasc_linalg::FlatPoints;
 use dasc_lsh::SignatureModel;
 use dasc_mapreduce::ClusterConfig;
@@ -39,7 +38,7 @@ use dasc_obs::{labeled, MetricsSnapshot, SpanRecord, Tracer};
 use dasc_store::{DatasetManifest, Shard, ShardCache, StoreError};
 
 use crate::client::{client_config, rpc};
-use crate::proto::{Msg, Task, TaskKind, TaskOutput};
+use crate::proto::{Msg, Task, TaskKind, TaskOutput, TaskRows};
 
 /// Worker behaviour knobs.
 #[derive(Clone, Debug)]
@@ -358,111 +357,48 @@ pub fn execute_task_traced(
     if task.trace_parent != 0 {
         tracer.enable();
     }
-    let stage = match task.kind {
-        TaskKind::MapSignatures { .. } | TaskKind::MapSignaturesRef { .. } => "map",
-        TaskKind::ReduceBucket { .. } | TaskKind::ReduceBucketRef { .. } => "reduce",
-    };
+    let stage = task.kind.stage_name();
     let began = std::time::Instant::now();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
         || -> Result<TaskOutput, String> {
             match task.kind {
                 TaskKind::MapSignatures {
-                    num_bits: _,
                     planes,
                     start,
-                    points,
+                    len,
+                    rows,
                 } => {
                     let _span = tracer.span("dist.task.map");
                     let model = SignatureModel::from_planes(planes);
                     let _hash_span = tracer.span("dist.task.map.hash");
-                    let rows = points.iter().map(Vec::as_slice);
-                    Ok(TaskOutput::MapSignatures(map_signatures(
-                        &model, start, rows,
-                    )))
+                    let groups = with_rows(&rows, start..start + len, shard_source, |rows| {
+                        map_signatures(&model, start, rows)
+                    })?;
+                    Ok(TaskOutput::MapSignatures(groups))
                 }
                 TaskKind::ReduceBucket {
                     bucket_id,
                     ki,
                     kernel,
                     seed,
-                    lanczos_threshold,
                     members,
-                    points,
+                    rows,
                 } => {
                     let _span = tracer.span("dist.task.reduce");
+                    // Decoding checked that inline rows share one
+                    // dimension; store rows share the manifest's.
+                    let points = with_rows(&rows, members.iter().copied(), shard_source, |rows| {
+                        let rows: Vec<&[f64]> = rows.collect();
+                        FlatPoints::from_flat(rows.concat(), rows.first().map_or(0, |r| r.len()))
+                    })?;
                     let _cluster_span = tracer.span("dist.task.reduce.cluster");
                     Ok(TaskOutput::ReduceBucket(
                         reduce_bucket(
-                            &FlatPoints::from_rows(&points),
+                            &points,
                             &members,
                             ki,
                             kernel,
-                            lanczos_threshold,
-                            seed,
-                            bucket_id,
-                        )
-                        .0,
-                    ))
-                }
-                TaskKind::MapSignaturesRef {
-                    num_bits: _,
-                    planes,
-                    manifest,
-                    start,
-                    len,
-                } => {
-                    let _span = tracer.span("dist.task.map");
-                    let source = shard_source
-                        .ok_or("shard-addressed task but this worker has no shard source")?;
-                    let model = SignatureModel::from_planes(planes);
-                    let _hash_span = tracer.span("dist.task.map.hash");
-                    // Resolve the shards the global range spans, then
-                    // hash their rows in order.
-                    let mut pieces = Vec::new();
-                    let (mut i, end) = (start, start + len);
-                    while i < end {
-                        let (s, r) = manifest.locate(i);
-                        let shard = source.shard(&manifest, s)?;
-                        let take = (shard.rows() - r).min(end - i);
-                        pieces.push((shard, r..r + take));
-                        i += take;
-                    }
-                    let rows = pieces
-                        .iter()
-                        .flat_map(|(shard, rows)| rows.clone().map(move |j| shard.row(j)));
-                    Ok(TaskOutput::MapSignatures(map_signatures(
-                        &model, start, rows,
-                    )))
-                }
-                TaskKind::ReduceBucketRef {
-                    bucket_id,
-                    ki,
-                    kernel,
-                    seed,
-                    lanczos_threshold,
-                    manifest,
-                    members,
-                } => {
-                    let _span = tracer.span("dist.task.reduce");
-                    let source = shard_source
-                        .ok_or("shard-addressed task but this worker has no shard source")?;
-                    // Gather the bucket's rows straight into one flat
-                    // buffer, in member order like the inline arm.
-                    let dim = manifest.dim as usize;
-                    let mut flat = Vec::with_capacity(members.len() * dim);
-                    for &m in &members {
-                        let (s, r) = manifest.locate(m);
-                        let shard = source.shard(&manifest, s)?;
-                        flat.extend_from_slice(shard.row(r));
-                    }
-                    let _cluster_span = tracer.span("dist.task.reduce.cluster");
-                    Ok(TaskOutput::ReduceBucket(
-                        reduce_bucket(
-                            &FlatPoints::from_flat(flat, dim),
-                            &members,
-                            ki,
-                            kernel,
-                            lanczos_threshold,
+                            LANCZOS_THRESHOLD,
                             seed,
                             bucket_id,
                         )
@@ -489,4 +425,31 @@ pub fn execute_task_traced(
         }
     };
     (result, spans)
+}
+
+/// Hand `body` the task's rows for global ids `ids`, in order: inline
+/// rows as shipped, store rows borrowed from the shards that hold them,
+/// each shard resolved once through `shard_source`.
+fn with_rows<R>(
+    rows: &TaskRows,
+    ids: impl IntoIterator<Item = usize>,
+    shard_source: Option<&ShardSource>,
+    body: impl FnOnce(&mut dyn Iterator<Item = &[f64]>) -> R,
+) -> Result<R, String> {
+    let manifest = match rows {
+        TaskRows::Inline(points) => return Ok(body(&mut points.iter().map(Vec::as_slice))),
+        TaskRows::Store(manifest) => manifest,
+    };
+    let source = shard_source.ok_or("shard-addressed task but this worker has no shard source")?;
+    let mut shards = vec![None; manifest.shards.len()];
+    let mut at = Vec::new();
+    for i in ids {
+        let (s, r) = manifest.locate(i);
+        if shards[s].is_none() {
+            shards[s] = Some(source.shard(manifest, s)?);
+        }
+        at.push((s, r));
+    }
+    let shard = |s: usize| -> &Shard { shards[s].as_deref().expect("resolved above") };
+    Ok(body(&mut at.iter().map(|&(s, r)| shard(s).row(r))))
 }

@@ -239,6 +239,22 @@ fn ref_job_rejects_content_hash_mismatch() {
 }
 
 #[test]
+fn inline_job_rejects_ragged_points() {
+    // The job fails before any task is queued, so no worker is needed.
+    let cluster = test_cluster();
+    let coordinator = Coordinator::start("127.0.0.1:0", cluster.clone()).expect("coordinator");
+    let mut client = JobClient::connect(coordinator.addr().to_string(), &cluster);
+    for points in [vec![vec![0.0, 1.0], vec![2.0]], vec![vec![], vec![]]] {
+        let spec = spec_for(&points, &DascConfig::for_dataset(points.len(), 1));
+        let err = client
+            .run(spec, |_, _, _| {})
+            .expect_err("ragged points must be refused");
+        assert!(err.contains("dimension"), "unexpected error: {err}");
+    }
+    coordinator.shutdown();
+}
+
+#[test]
 fn metrics_expose_dist_counters() {
     let points = blobs(200, 3);
     let config = DascConfig::for_dataset(points.len(), 3);

@@ -3,11 +3,12 @@
 //! decoder rejects truncated or trailing-garbage payloads without
 //! panicking — whatever the message.
 
-use dasc_dist::{JobData, JobOutcome, JobSpec, Msg, Task, TaskKind, TaskOutput};
+use dasc_dist::{JobData, JobOutcome, JobSpec, Msg, Task, TaskKind, TaskOutput, TaskRows};
 use dasc_kernel::Kernel;
 use dasc_lsh::HashPlane;
 use dasc_obs::{HistogramSnapshot, MetricsSnapshot, SpanRecord, HISTOGRAM_BUCKETS};
-use dasc_store::{DatasetManifest, ShardMeta};
+use dasc_store::format::{decode_manifest, encode_manifest, shard_byte_len};
+use dasc_store::ShardMeta;
 use proptest::prelude::*;
 
 /// An arbitrary-but-valid metrics snapshot derived from the scalar
@@ -88,18 +89,22 @@ fn all_messages(
             threshold,
         })
         .collect();
+    // Task rows share one dimension (task decoding checks it).
+    let row_dim = points.iter().map(Vec::len).min().unwrap_or(0);
+    let rows: Vec<Vec<f64>> = points.iter().map(|p| p[..row_dim].to_vec()).collect();
     let map_task = Task {
         job_id: a,
         task_id: b,
         attempt: (c % 8) as u32 + 1,
         trace_parent: c,
         kind: TaskKind::MapSignatures {
-            num_bits: planes.len(),
             planes,
             start: c as usize % 1024,
-            points: points.clone(),
+            len: rows.len(),
+            rows: TaskRows::Inline(rows.clone()),
         },
     };
+    let reduce_members: Vec<usize> = members.iter().copied().take(rows.len()).collect();
     let reduce_task = Task {
         job_id: a,
         task_id: b.wrapping_add(1),
@@ -110,43 +115,43 @@ fn all_messages(
             ki: b as usize % 16 + 1,
             kernel,
             seed: c,
-            lanczos_threshold: 512,
-            members: members.clone(),
-            points: points.clone(),
+            rows: TaskRows::Inline(rows[..reduce_members.len()].to_vec()),
+            members: reduce_members,
         },
     };
-    // A manifest shaped from the same scalar pool: shard row counts and
-    // checksums vary per case, shard_rows stays nonzero.
-    let manifest = DatasetManifest {
-        content_hash: a ^ c,
-        n: b % 100_000,
-        dim: a % 64 + 1,
-        has_labels: c & 1 == 0,
-        shard_rows: b % 4096 + 1,
-        shards: members
-            .iter()
-            .take(5)
-            .map(|&m| ShardMeta {
-                rows: m as u64,
-                byte_len: m as u64 * 8 + 72,
-                checksum: (m as u64).wrapping_mul(c),
-            })
-            .collect(),
-    };
+    // A valid manifest shaped from the same scalar pool (task decoding
+    // checks it): shard count, shard size, dimension and labels vary
+    // per case, and the dataset holds every member row.
+    let dim = a % 64 + 1;
+    let has_labels = c & 1 == 0;
+    let shard_rows = b % 4096 + 1;
+    let n = members.iter().max().map_or(0, |&m| m as u64 + 1) + c % 5_000;
+    let shards: Vec<ShardMeta> = (0..n.div_ceil(shard_rows))
+        .map(|s| {
+            let rows = shard_rows.min(n - s * shard_rows);
+            ShardMeta {
+                rows,
+                byte_len: shard_byte_len(rows, dim, has_labels),
+                checksum: rows.wrapping_mul(c),
+            }
+        })
+        .collect();
+    let manifest = decode_manifest(&encode_manifest(n, dim, has_labels, shard_rows, &shards).0)
+        .expect("valid manifest");
+    let len = (b % 1024).min(n);
     let map_ref_task = Task {
         job_id: a,
         task_id: b.wrapping_add(2),
         attempt: 1,
         trace_parent: c % 2,
-        kind: TaskKind::MapSignaturesRef {
-            num_bits: 4,
+        kind: TaskKind::MapSignatures {
             planes: vec![HashPlane {
                 dimension: a as usize % 8,
                 threshold: 0.5,
             }],
-            manifest: manifest.clone(),
-            start: a as usize % 1024,
-            len: b as usize % 1024,
+            start: (a % (n - len + 1)) as usize,
+            len: len as usize,
+            rows: TaskRows::Store(manifest.clone()),
         },
     };
     let reduce_ref_task = Task {
@@ -154,14 +159,13 @@ fn all_messages(
         task_id: b.wrapping_add(3),
         attempt: (a % 4) as u32 + 1,
         trace_parent: 0,
-        kind: TaskKind::ReduceBucketRef {
+        kind: TaskKind::ReduceBucket {
             bucket_id: c as usize % 64,
             ki: a as usize % 16 + 1,
             kernel,
             seed: c,
-            lanczos_threshold: 512,
-            manifest: manifest.clone(),
             members: members.clone(),
+            rows: TaskRows::Store(manifest),
         },
     };
     vec![

@@ -10,7 +10,7 @@ use dasc_lsh::BucketSet;
 use rayon::prelude::*;
 
 use crate::functions::Kernel;
-use crate::gram::{full_gram, full_gram_flat};
+use crate::gram::full_gram_flat;
 
 /// One diagonal block: a bucket's members and their sub-similarity
 /// matrix (the output of Algorithm 2's reducer).
@@ -134,21 +134,12 @@ impl ApproximateGram {
         }
         m
     }
-
-    /// The Figure 5 metric: `‖K̃‖_F / ‖K‖_F` against the exact Gram
-    /// matrix of the same points.
-    pub fn fnorm_ratio_to_full(&self, points: &[Vec<f64>], kernel: &Kernel) -> f64 {
-        let full = full_gram(points, kernel).frobenius_norm();
-        if full == 0.0 {
-            return 1.0;
-        }
-        self.frobenius_norm() / full
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gram::full_gram;
     use dasc_lsh::Signature;
 
     fn pts() -> Vec<Vec<f64>> {
@@ -226,17 +217,6 @@ mod tests {
         let ag = ApproximateGram::from_buckets(&p, &buckets, &k);
         let full = full_gram(&p, &k);
         assert!(ag.to_dense().max_abs_diff(&full) < 1e-15);
-        assert!((ag.fnorm_ratio_to_full(&p, &k) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fnorm_ratio_below_one_when_split() {
-        let k = Kernel::gaussian(1.0);
-        let p = pts();
-        let ag = ApproximateGram::from_buckets(&p, &two_buckets(), &k);
-        let r = ag.fnorm_ratio_to_full(&p, &k);
-        assert!(r < 1.0, "ratio {r} should drop below 1");
-        assert!(r > 0.5, "well-separated buckets keep most mass: {r}");
     }
 
     #[test]
@@ -248,7 +228,7 @@ mod tests {
         let singletons = BucketSet::from_signatures(&buckets_of(&[0, 1, 2, 3]));
         let fine = ApproximateGram::from_buckets(&p, &singletons, &k);
         assert_eq!(fine.blocks().len(), 4);
-        assert!(fine.fnorm_ratio_to_full(&p, &k) < coarse.fnorm_ratio_to_full(&p, &k));
+        assert!(fine.frobenius_norm() < coarse.frobenius_norm());
     }
 
     #[test]

@@ -140,8 +140,8 @@ impl Kernel {
     /// over a deterministic subsample. Useful when σ is not given.
     ///
     /// The subsample is capped at [`MEDIAN_HEURISTIC_MAX_SAMPLE`]
-    /// points, so the cost is bounded regardless of `n` — see
-    /// [`Kernel::median_sigma`] for why.
+    /// points, so the cost is bounded regardless of `n`: the pairwise
+    /// pass is quadratic in the sample size.
     pub fn gaussian_median_heuristic(points: &[Vec<f64>]) -> Self {
         Kernel::gaussian(Self::median_sigma(points))
     }
@@ -160,7 +160,7 @@ impl Kernel {
     ///
     /// # Panics
     /// Panics with fewer than two points.
-    pub fn median_sigma(points: &[Vec<f64>]) -> f64 {
+    fn median_sigma(points: &[Vec<f64>]) -> f64 {
         let n = points.len();
         assert!(n >= 2, "median heuristic needs at least two points");
         let stride = n.div_ceil(MEDIAN_HEURISTIC_MAX_SAMPLE).max(1);

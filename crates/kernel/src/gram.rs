@@ -103,7 +103,7 @@ pub fn full_gram_flat_scalar(points: &FlatPoints, kernel: &Kernel) -> Matrix {
 /// Tiled micro-kernel path: raw basis values via `gemm` panels, kernel
 /// map batched over each panel.
 ///
-/// Parallelism is over [`GRAM_PANEL_ROWS`]-row output panels; a panel
+/// Parallelism is over `GRAM_PANEL_ROWS`-row output panels; a panel
 /// computes columns `j ≥ panel start` (everything at or right of the
 /// diagonal block) and the strict lower triangle is mirrored from the
 /// upper afterwards, so the matrix is exactly symmetric. The diagonal

@@ -110,12 +110,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutably borrow row `i` as a slice.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Copy column `j` out into a fresh vector.
     pub fn col(&self, j: usize) -> Vec<f64> {
         (0..self.rows).map(|i| self[(i, j)]).collect()
@@ -190,7 +184,7 @@ impl Matrix {
 
     /// Matrix–vector product `y = A x`, row-panel parallel.
     ///
-    /// Panels of [`MATVEC_PANEL_ROWS`] rows go through the same dot
+    /// Panels of `MATVEC_PANEL_ROWS` rows go through the same dot
     /// kernel as the GEMM micro-kernel layer (`par_chunks_mut` over
     /// `y`), so the dense matvecs inside Lanczos run at tile speed
     /// instead of one serial accumulator chain per row — and inherit the
@@ -248,29 +242,6 @@ impl Matrix {
             }
         }
         true
-    }
-
-    /// Scale every entry in place.
-    pub fn scale_inplace(&mut self, alpha: f64) {
-        vector::scale(alpha, &mut self.data);
-    }
-
-    /// Entry-wise sum of another matrix into this one.
-    pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "add_assign: shape mismatch");
-        vector::axpy(1.0, &other.data, &mut self.data);
-    }
-
-    /// Extract the square principal submatrix at `indices × indices`.
-    pub fn principal_submatrix(&self, indices: &[usize]) -> Matrix {
-        let k = indices.len();
-        let mut s = Matrix::zeros(k, k);
-        for (a, &i) in indices.iter().enumerate() {
-            for (b, &j) in indices.iter().enumerate() {
-                s[(a, b)] = self[(i, j)];
-            }
-        }
-        s
     }
 
     /// Row sums (the degree vector of a similarity matrix).
@@ -392,13 +363,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 1.0]]);
         assert!(!a.is_symmetric(1e-12));
         assert!(!Matrix::zeros(2, 3).is_symmetric(0.0));
-    }
-
-    #[test]
-    fn principal_submatrix_extracts() {
-        let m = Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
-        let s = m.principal_submatrix(&[0, 2]);
-        assert_eq!(s, Matrix::from_rows(&[&[0.0, 2.0], &[8.0, 10.0]]));
     }
 
     #[test]

@@ -36,15 +36,9 @@ impl SymmetricEigen {
         self.vectors.col(self.perm[j])
     }
 
-    /// A single entry of the eigenvector for `eigenvalues[j]`.
-    pub fn eigenvector_entry(&self, i: usize, j: usize) -> f64 {
-        self.vectors[(i, self.perm[j])]
-    }
-
     /// Materialize the full eigenvector matrix with columns sorted to
-    /// match `eigenvalues`. `O(n²)` — prefer [`Self::top_k`],
-    /// [`Self::bottom_k`] or [`Self::eigenvector`] when only a few
-    /// columns are needed.
+    /// match `eigenvalues`. `O(n²)` — prefer [`Self::top_k`] or
+    /// [`Self::eigenvector`] when only a few columns are needed.
     pub fn eigenvectors_full(&self) -> Matrix {
         let n = self.order();
         let mut out = Matrix::zeros(n, n);
@@ -68,22 +62,6 @@ impl SymmetricEigen {
         for j in 0..k {
             let src = self.perm[n - 1 - j];
             values.push(self.eigenvalues[n - 1 - j]);
-            for i in 0..n {
-                vectors[(i, j)] = self.vectors[(i, src)];
-            }
-        }
-        (values, vectors)
-    }
-
-    /// The `k` eigenpairs with the **smallest** eigenvalues (ascending).
-    pub fn bottom_k(&self, k: usize) -> (Vec<f64>, Matrix) {
-        let n = self.order();
-        let k = k.min(n);
-        let mut values = Vec::with_capacity(k);
-        let mut vectors = Matrix::zeros(n, k);
-        for j in 0..k {
-            let src = self.perm[j];
-            values.push(self.eigenvalues[j]);
             for i in 0..n {
                 vectors[(i, j)] = self.vectors[(i, src)];
             }
@@ -279,14 +257,6 @@ mod tests {
         assert_eq!(vecs.shape(), (3, 2));
         // Top eigenvector of a diagonal matrix is the matching axis.
         assert!((vecs[(0, 0)].abs() - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn bottom_k_orders_ascending() {
-        let a = Matrix::from_rows(&[&[5.0, 0.0], &[0.0, -1.0]]);
-        let eig = symmetric_eigen(&a);
-        let (vals, _) = eig.bottom_k(1);
-        assert!((vals[0] + 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub fn row_sq_norms(points: &FlatPoints) -> Vec<f64> {
 }
 
 /// [`row_sq_norms`] on an explicit kernel backend.
-pub fn row_sq_norms_with(backend: KernelBackend, points: &FlatPoints) -> Vec<f64> {
+fn row_sq_norms_with(backend: KernelBackend, points: &FlatPoints) -> Vec<f64> {
     let dim = points.dim();
     points
         .iter()

@@ -15,9 +15,11 @@
 //! * [`symmetric_eigen_topk`] — the `k` leading eigenpairs without the
 //!   `O(n³)` accumulation: factored reduction, eigenvalues-only QL,
 //!   inverse iteration, blocked back-transform.
-//! * [`lanczos`] — Lanczos iteration with full reorthogonalization for the
-//!   leading eigenpairs of any [`MatVec`] operator (PARPACK substitute).
-//! * [`qr`] — Householder QR, the NYST baseline's orthonormalization.
+//! * [`lanczos`](fn@lanczos) — Lanczos iteration with full
+//!   reorthogonalization for the leading eigenpairs of any [`MatVec`]
+//!   operator (PARPACK substitute).
+//! * [`qr`](fn@qr) — Householder QR, the NYST baseline's
+//!   orthonormalization.
 //!
 //! Only what the spectral pipelines call lives here: there is no
 //! general-purpose solver (Cholesky, SVD) on the paper's path.

@@ -184,11 +184,6 @@ impl<'a> FlatPointsView<'a> {
     pub fn iter(&self) -> impl Iterator<Item = &'a [f64]> {
         self.data.chunks_exact(self.dim.max(1)).take(self.len)
     }
-
-    /// Copy into an owned [`FlatPoints`].
-    pub fn to_owned_points(&self) -> FlatPoints {
-        FlatPoints::from_flat(self.data.to_vec(), self.dim)
-    }
 }
 
 /// Read-only access to a set of fixed-dimension points, however they
@@ -323,7 +318,6 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert_eq!(v.dim(), 2);
         assert_eq!(v.row(1), fp.row(1));
-        assert_eq!(v.to_owned_points(), fp);
     }
 
     #[test]

@@ -167,13 +167,6 @@ impl CsrMatrix {
         true
     }
 
-    /// Scale every stored value by `alpha`.
-    pub fn scale_inplace(&mut self, alpha: f64) {
-        for v in &mut self.values {
-            *v *= alpha;
-        }
-    }
-
     /// Left/right diagonal scaling in place:
     /// `A ← diag(left) · A · diag(right)`, the operation that turns a
     /// similarity matrix into the normalized Laplacian `D^{-1/2} S D^{-1/2}`.

@@ -99,19 +99,6 @@ pub fn hypot(a: f64, b: f64) -> f64 {
     hi * (1.0 + r * r).sqrt()
 }
 
-/// Arithmetic mean of a set of equal-length rows, written into `out`.
-///
-/// # Panics
-/// Panics if `rows` is empty or any row length differs from `out`.
-pub fn mean_of(rows: &[&[f64]], out: &mut [f64]) {
-    assert!(!rows.is_empty(), "mean_of: empty row set");
-    out.fill(0.0);
-    for r in rows {
-        axpy(1.0, r, out);
-    }
-    scale(1.0 / rows.len() as f64, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,14 +164,5 @@ mod tests {
         // No overflow where naive sqrt(a^2+b^2) would overflow.
         let h = hypot(1e200, 1e200);
         assert!(h.is_finite() && h > 1e200);
-    }
-
-    #[test]
-    fn mean_of_rows() {
-        let a = [0.0, 2.0];
-        let b = [4.0, 6.0];
-        let mut out = vec![0.0; 2];
-        mean_of(&[&a, &b], &mut out);
-        assert_eq!(out, vec![2.0, 4.0]);
     }
 }

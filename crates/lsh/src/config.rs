@@ -142,12 +142,6 @@ impl LshConfig {
         self.balance_fraction = f;
         self
     }
-
-    /// Number of Hamming-distance bits tolerated when merging
-    /// (`M − P`).
-    pub fn merge_radius(&self) -> usize {
-        self.num_bits - self.merge_p
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +155,6 @@ mod tests {
         assert_eq!(c.merge_p, 7);
         assert_eq!(c.histogram_bins, 20);
         assert_eq!(c.selection, DimensionSelection::TopSpan);
-        assert_eq!(c.merge_radius(), 1);
     }
 
     #[test]
@@ -172,7 +165,6 @@ mod tests {
             .threshold_rule(ThresholdRule::Median);
         assert_eq!(c.num_bits, 10);
         assert_eq!(c.merge_p, 8);
-        assert_eq!(c.merge_radius(), 2);
         assert_eq!(c.threshold_rule, ThresholdRule::Median);
     }
 

@@ -138,16 +138,6 @@ impl MinHash {
     pub fn hash_all(&self, points: &[Vec<f64>]) -> Vec<Signature> {
         points.iter().map(|p| self.hash(p)).collect()
     }
-
-    /// Estimate Jaccard similarity between two points from `m`
-    /// min-hash agreements (the classical estimator, exposed for tests
-    /// and ablations).
-    pub fn jaccard_estimate(&self, a: &[f64], b: &[f64]) -> f64 {
-        let agree = (0..self.coeffs.len())
-            .filter(|&i| self.min_hash_value(i, a) == self.min_hash_value(i, b))
-            .count();
-        agree as f64 / self.coeffs.len() as f64
-    }
 }
 
 /// p-stable LSH for Euclidean distance (Datar–Immorlica–Indyk–Mirrokni):
@@ -193,7 +183,7 @@ impl PStableLsh {
     }
 
     /// The integer hash values `⌊(w·x + b)/r⌋` for every function.
-    pub fn hash_values(&self, point: &[f64]) -> Vec<i64> {
+    fn hash_values(&self, point: &[f64]) -> Vec<i64> {
         self.directions
             .iter()
             .zip(&self.offsets)
@@ -395,27 +385,6 @@ mod tests {
         let mh = MinHash::new(16, 5);
         let p = vec![1.0, 0.0, 2.0, 0.0, 1.0];
         assert_eq!(mh.hash(&p), mh.hash(&p));
-        assert_eq!(mh.jaccard_estimate(&p, &p), 1.0);
-    }
-
-    #[test]
-    fn minhash_jaccard_tracks_overlap() {
-        let mh = MinHash::new(64, 6);
-        // Sets {0..10} and {0..8} ∪ {20,21}: Jaccard = 8/12 ≈ 0.67.
-        let mut a = vec![0.0; 30];
-        let mut b = vec![0.0; 30];
-        a[..10].fill(1.0);
-        b[..8].fill(1.0);
-        b[20] = 1.0;
-        b[21] = 1.0;
-        let est = mh.jaccard_estimate(&a, &b);
-        assert!((est - 8.0 / 12.0).abs() < 0.25, "estimate {est}");
-        let disjoint = vec![0.0; 30];
-        let mut c = disjoint.clone();
-        c[29] = 1.0;
-        let mut d = disjoint;
-        d[0] = 1.0;
-        assert!(mh.jaccard_estimate(&c, &d) < 0.2);
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl Signature {
 
     /// Binary string rendering, most significant bit first (matches the
     /// string signatures built by Algorithm 1).
-    pub fn to_bit_string(&self) -> String {
+    fn to_bit_string(self) -> String {
         (0..self.len())
             .rev()
             .map(|i| if self.get(i) { '1' } else { '0' })

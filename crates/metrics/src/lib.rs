@@ -1,15 +1,15 @@
 //! Clustering-quality metrics used in the paper's evaluation
 //! (Section 5.3), plus standard extras.
 //!
-//! * [`accuracy`] — fraction of correctly clustered points against
+//! * [`accuracy`](fn@accuracy) — fraction of correctly clustered points against
 //!   ground truth, under the optimal label matching (Hungarian
 //!   algorithm). Drives Figure 3 and Table 3.
 //! * [`davies_bouldin`] — DBI, Eq. 20 (Figure 4a).
-//! * [`ase`] — average squared error, Eq. 21 (Figure 4b).
+//! * [`ase`](fn@ase) — average squared error, Eq. 21 (Figure 4b).
 //! * [`fnorm_ratio`] — Frobenius-norm ratio between approximated and
 //!   exact Gram matrices, Eqs. 22–24 (Figure 5).
-//! * [`nmi`] / [`purity`] / [`silhouette`] — standard metrics beyond the
-//!   paper, used by the ablation benches.
+//! * [`nmi`] / [`purity`] / [`silhouette`](fn@silhouette) — standard
+//!   metrics beyond the paper, used by the ablation benches.
 //!
 //! ```
 //! use dasc_metrics::accuracy;

@@ -5,7 +5,7 @@
 //! | offset | size | field       | value                                |
 //! |--------|------|-------------|--------------------------------------|
 //! | 0      | 4    | magic       | `b"DNET"`                            |
-//! | 4      | 2    | version     | [`VERSION`] (currently 1)            |
+//! | 4      | 2    | version     | [`VERSION`] (currently 2)            |
 //! | 6      | 2    | msg_type    | message discriminant (protocol layer)|
 //! | 8      | 4    | payload_len | bytes of payload that follow         |
 //! | 12     | 8    | checksum    | FNV-1a-64 of the payload             |
@@ -22,7 +22,7 @@ use std::io::{self, Read, Write};
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"DNET";
 /// Protocol version stamped into every header; decoders reject skew.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 /// Header size in bytes (magic + version + msg_type + len + checksum).
 pub const HEADER_LEN: usize = 20;
 /// Maximum accepted payload length (256 MiB) — a cap against corrupted

@@ -109,13 +109,6 @@ impl WireWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Length-prefixed raw bytes.
-    pub fn put_bytes(&mut self, b: &[u8]) {
-        assert!(b.len() as u64 <= u64::from(MAX_STR_LEN), "bytes too long");
-        self.put_u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
-    }
-
     /// Length-prefixed bulk payload, capped at 64 MiB instead of the
     /// 1 MiB field cap (shard bytes and similar data-plane transfers).
     pub fn put_blob(&mut self, b: &[u8]) {
@@ -192,15 +185,6 @@ impl<'a> WireReader<'a> {
         }
         let bytes = self.take(len as usize)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Invalid("utf-8"))
-    }
-
-    /// Length-prefixed raw bytes.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let len = self.u32()?;
-        if len > MAX_STR_LEN {
-            return Err(WireError::TooLong(len));
-        }
-        Ok(self.take(len as usize)?.to_vec())
     }
 
     /// Length-prefixed bulk payload (64 MiB cap; see
@@ -408,8 +392,8 @@ mod tests {
 
     #[test]
     fn blobs_roundtrip_past_the_field_cap() {
-        // Larger than MAX_STR_LEN, so put_bytes would assert — the
-        // blob codec is the only legal path for payloads this size.
+        // Larger than MAX_STR_LEN, so put_str would assert — the blob
+        // codec is the only legal path for payloads this size.
         let payload = vec![0xA5u8; (MAX_STR_LEN as usize) + 17];
         let mut w = WireWriter::new();
         w.put_blob(&payload);

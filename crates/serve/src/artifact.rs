@@ -220,12 +220,6 @@ impl ModelArtifact {
         }
     }
 
-    /// Override the stored provenance config.
-    pub fn with_config(mut self, config: DascConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Reassemble the frozen signature model.
     pub fn signature_model(&self) -> SignatureModel {
         SignatureModel::from_planes(self.planes.clone())

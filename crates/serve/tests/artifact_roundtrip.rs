@@ -7,8 +7,8 @@
 
 use dasc_core::{Dasc, DascConfig};
 use dasc_kernel::Kernel;
-use dasc_lsh::LshConfig;
-use dasc_serve::{ArtifactError, AssignmentEngine, ModelArtifact, FORMAT_VERSION};
+use dasc_lsh::{HashPlane, LshConfig};
+use dasc_serve::{ArtifactError, AssignmentEngine, BucketClusters, ModelArtifact, FORMAT_VERSION};
 use std::path::PathBuf;
 
 fn blob_points() -> Vec<Vec<f64>> {
@@ -182,4 +182,44 @@ fn distributed_training_exports_equivalent_artifact() {
     for p in &pts {
         assert_eq!(ea.assign(p).cluster, eb.assign(p).cluster);
     }
+}
+
+#[test]
+fn artifact_bytes_match_golden() {
+    // A hand-built one-bucket model, so the bytes depend on the codec
+    // alone, not on training numerics.
+    let artifact = ModelArtifact {
+        config: DascConfig::for_dataset(2, 1).seed(7),
+        dimension: 2,
+        num_clusters: 1,
+        trained_points: 2,
+        planes: vec![HashPlane {
+            dimension: 1,
+            threshold: 0.5,
+        }],
+        signature_table: vec![(0, 0), (1, 0)],
+        buckets: vec![BucketClusters {
+            clusters: vec![(0, vec![0.25, -1.0])],
+        }],
+        global_centroids: vec![(0, vec![0.25, -1.0])],
+    };
+    let mut bytes = Vec::new();
+    artifact.write_to(&mut bytes).expect("write");
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    // Magic, version, d, K, N; the config (k, Gaussian σ = 0.2, M, P,
+    // bins, selection, threshold rule, merge strategy, balance,
+    // Lanczos threshold, consolidate, seed); then planes, signature
+    // table, bucket centroids and global centroids, each count-prefixed.
+    let want = "444153434d4f444c 01000000 \
+                0200000000000000 0100000000000000 0200000000000000 \
+                0100000000000000 00 9a9999999999c93f 0100000000000000 \
+                0000000000000000 1400000000000000 00 00 00 9a9999999999a93f \
+                0002000000000000 01 0700000000000000 \
+                0100000000000000 0100000000000000 000000000000e03f \
+                0200000000000000 0000000000000000 00000000 0100000000000000 00000000 \
+                0100000000000000 0100000000000000 00000000 \
+                0200000000000000 000000000000d03f 000000000000f0bf \
+                0100000000000000 00000000 \
+                0200000000000000 000000000000d03f 000000000000f0bf";
+    assert_eq!(hex, want.replace(' ', ""));
 }

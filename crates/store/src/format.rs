@@ -105,11 +105,6 @@ impl DatasetManifest {
         let sr = self.shard_rows as usize;
         (i / sr, i % sr)
     }
-
-    /// Expected byte length of shard `s` given its row count.
-    pub fn expected_shard_len(&self, rows: u64) -> u64 {
-        shard_byte_len(rows, self.dim, self.has_labels)
-    }
 }
 
 /// Total file length of a shard holding `rows` rows of dimension `dim`.
@@ -469,5 +464,35 @@ mod tests {
             validate_shard(&bytes, 2, 1, true, &meta),
             Err(StoreError::Shape(_))
         ));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn shard_and_manifest_match_golden_bytes() {
+        // Shard 1: two labeled rows of dimension 2.
+        let (shard, meta) = encode_shard(1, 2, &[1.0, -0.5, 0.25, 2.0], Some(&[3, 0]));
+        let header = format!(
+            "44534844 0100 0100 01000000 02000000 0200000000000000 {}",
+            "00".repeat(SHARD_HEADER_LEN - 24)
+        );
+        let body = "000000000000f03f 000000000000e0bf 000000000000d03f 0000000000000040 \
+                    0300000000000000 0000000000000000 9393f37eb724ab0d";
+        assert_eq!(hex(&shard), format!("{header}{body}").replace(' ', ""));
+        let first = ShardMeta {
+            rows: 2,
+            byte_len: shard_byte_len(2, 2, true),
+            checksum: 0x0102_0304_0506_0708,
+        };
+        let (manifest, hash) = encode_manifest(4, 2, true, 2, &[first, meta]);
+        let want = "44535452 0100 0100 0400000000000000 0200000000000000 \
+                    0200000000000000 02000000 \
+                    0200000000000000 7800000000000000 0807060504030201 \
+                    0200000000000000 7800000000000000 9393f37eb724ab0d \
+                    d8253080f31beb94";
+        assert_eq!(hex(&manifest), want.replace(' ', ""));
+        assert_eq!(hash, 0x94eb_1bf3_8030_25d8);
     }
 }

@@ -4,9 +4,9 @@
 //! read their own splits locally and the jobflow moves *references*,
 //! not data. This crate reproduces that layer for the Rust runtime:
 //!
-//! * a versioned binary on-disk format ([`format`]) — a `.dstr`
-//!   directory of fixed-size shards plus a manifest, every byte
-//!   covered by FNV-1a-64 checksums;
+//! * a versioned binary on-disk format ([`format`](mod@format)) — a
+//!   `.dstr` directory of fixed-size shards plus a manifest, every
+//!   byte covered by FNV-1a-64 checksums;
 //! * a streaming writer ([`StoreWriter`]) that packs datasets in
 //!   `O(shard)` memory;
 //! * a zero-copy reader ([`StoreReader`]) that mmaps shards (vendored

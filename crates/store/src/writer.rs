@@ -60,11 +60,6 @@ impl StoreWriter {
         })
     }
 
-    /// Number of rows pushed so far.
-    pub fn rows_written(&self) -> u64 {
-        self.n + self.buf_rows as u64
-    }
-
     /// Append one row (and its label, iff the store was created with
     /// labels).
     pub fn push_row(&mut self, point: &[f64], label: Option<usize>) -> Result<(), StoreError> {
