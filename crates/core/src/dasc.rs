@@ -41,7 +41,9 @@ pub struct DascConfig {
     /// LSH stage configuration (signature width `M`, merge threshold
     /// `P`, histogram bins, dimension selection).
     pub lsh: LshConfig,
-    /// Dense→Lanczos eigensolver crossover inside buckets.
+    /// Dense floor of the per-bucket eigensolver route: buckets of at
+    /// most this many points stay on dense-k (see
+    /// [`crate::resolve_eigen_path`]).
     pub lanczos_threshold: usize,
     /// Consolidate the `Σ Kᵢ` per-bucket clusters down to exactly `K`
     /// global clusters with a weighted K-means over fragment centroids.

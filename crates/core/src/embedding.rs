@@ -7,12 +7,57 @@
 //! The hot path works in place: the similarity matrix is scaled into
 //! the Laplacian without a second `n×n` allocation, the embedding is
 //! row-normalized without cloning, and the eigensolve routes through
-//! one of three paths ([`EigenPath`]) — the k-targeted dense solver
-//! (`symmetric_eigen_topk`, `O(n²k)` after the one-off reduction), the
-//! full dense solver for tiny or nearly-full spectra, or Lanczos for
-//! orders past the dense crossover.
+//! one of three paths ([`EigenPath`]) — the full dense solver for tiny
+//! or nearly-full spectra, Lanczos (the paper's solver, Sec. 3.2)
+//! wherever its Krylov block is small next to the order, and the
+//! k-targeted dense solver (`symmetric_eigen_topk`, `O(n³)` for the
+//! one-off reduction) in between.
+//!
+//! The crossover was measured, not chosen. Gaussian median-σ
+//! Laplacians of `blobs(n, 64, k)` with 20% noise at spread 1.0 (a
+//! small eigengap; spread 0.2 at n = 80), one thread of a 2-vCPU
+//! AVX2+FMA Xeon VM; "blocks" is `n / lanczos_block(k)`. The `--ignored`
+//! test `crossover_sweep_checks_both_routes` in
+//! `tests/eigen_equivalence.rs` re-runs the grid.
+//!
+//! ```text
+//!    n    k   dense-k ms   Lanczos ms (Krylov dim)   blocks
+//!   80    2        0.66         0.41 (40)              2.0
+//!  128    8        2.01         2.48 (80)              3.2
+//!  160    2        3.01         0.69 (40)              4.0
+//!  160    8        3.01         2.76 (80)              4.0
+//!  200    2        4.53         0.91 (40)              5.0
+//!  200   16        5.06         6.30 (104)             3.8
+//!  256   16        9.38         7.18 (104)             4.9
+//!  256   32        9.86        19.1  (168)             3.0
+//!  512    2       51.8          4.31 (40)             12.8
+//!  512   64       65.2         31.5  (148)             3.5
+//!  512  100       68.2        365    (440)             2.3
+//!  768   64      156           60.2  (148)             5.2
+//! 1024   64      482          123    (148)             6.9
+//! 1024   96      408          595    (424)             4.8
+//! 1024  128      566         1176    (552)             3.7
+//! 2349    9     6969          590    (80)             29
+//! 2349  200     7612        10430    (840)             5.6
+//! 2349  469     9042        94012    (1916)            2.5
+//! ```
+//!
+//! Lanczos wins 1.6–18× wherever its first Krylov block
+//! ([`dasc_linalg::lanczos_block`]) converges, and loses up to 10× where
+//! a large `k` and a small eigengap grow the space toward `n`. Whether
+//! it grows depends on the spectrum, which `(n, k)` alone does not tell,
+//! so [`resolve_eigen_path`] bounds the damage. Under four blocks,
+//! dense-k was faster on 12 of the 14 spread-1.0 cases with `k ≥ 8`, so
+//! those stay on dense-k; so does everything up to the 160-point
+//! default floor, where `k ≤ 4` still favoured Lanczos (1.6–3.4×) but
+//! `(128, 8)` did not. Above four blocks Lanczos still lost on some
+//! large-`k` cases past `n = 512` (up to 5.6 blocks, 0.7×), but a larger
+//! multiplier would also have moved `(768, 64)`, a 2.6× Lanczos win, to
+//! dense-k.
 
-use dasc_linalg::{lanczos, symmetric_eigen, symmetric_eigen_topk, LanczosOptions, Matrix};
+use dasc_linalg::{
+    lanczos, lanczos_block, symmetric_eigen, symmetric_eigen_topk, LanczosOptions, Matrix,
+};
 
 /// The resolved eigensolver route for one embedding: the choice
 /// [`resolve_eigen_path`] made, or the one a caller of
@@ -43,20 +88,29 @@ impl EigenPath {
 /// inverse-iteration machinery isn't worth its bookkeeping.
 const DENSE_FULL_MAX: usize = 64;
 
-/// Default dense-k → Lanczos crossover order. Every executor (serial
-/// [`crate::Dasc`], [`crate::SpectralClustering`] and the `dasc-dist`
-/// reduce tasks) takes its default from here, so the routes cannot
-/// drift apart.
-pub const LANCZOS_THRESHOLD: usize = 512;
+/// Default dense floor: at or below this order every bucket stays on
+/// dense-k. For `k ≤ 10` the Lanczos block is 40 vectors, so this is
+/// four blocks, where Lanczos stops losing on hard spectra (n = 160,
+/// k = 8 ties in the module table). Every executor (serial [`crate::Dasc`],
+/// [`crate::SpectralClustering`] and the `dasc-dist` reduce tasks)
+/// takes its default from here, so the routes cannot drift apart.
+pub const LANCZOS_THRESHOLD: usize = 160;
+
+/// Lanczos needs `n` to be at least this many Krylov blocks
+/// ([`lanczos_block`]) before it beats dense-k: closer to `n`, a small
+/// eigengap grows the space toward the full order at `O(n³)` cost with
+/// a worse constant than the dense reduction (module table).
+const LANCZOS_MIN_BLOCKS: usize = 4;
 
 /// Resolve the automatic eigensolver choice for an `n×n` problem
 /// wanting `k` vectors: full dense for tiny orders or nearly-full
-/// spectra (`4k ≥ n`), the k-targeted dense path up to
-/// `lanczos_threshold`, Lanczos beyond it.
+/// spectra (`4k ≥ n`); the k-targeted dense path up to the caller's
+/// `lanczos_threshold` floor, or while `n` is under
+/// `LANCZOS_MIN_BLOCKS` Lanczos blocks; Lanczos beyond both.
 pub fn resolve_eigen_path(n: usize, k: usize, lanczos_threshold: usize) -> EigenPath {
     if n <= DENSE_FULL_MAX || 4 * k >= n {
         EigenPath::DenseFull
-    } else if n <= lanczos_threshold {
+    } else if n <= lanczos_threshold || n < LANCZOS_MIN_BLOCKS * lanczos_block(k) {
         EigenPath::DenseK
     } else {
         EigenPath::Lanczos
@@ -114,9 +168,7 @@ pub fn top_eigenvectors_with(l: &Matrix, k: usize, path: EigenPath, seed: u64) -
 }
 
 /// Top-`k` eigenvectors with the automatic path resolution of
-/// [`resolve_eigen_path`] (dense below `lanczos_threshold`, Lanczos
-/// above — the crossover the paper's tridiagonalization discussion
-/// motivates).
+/// [`resolve_eigen_path`] (the measured dense-k/Lanczos crossover).
 pub fn top_eigenvectors(l: &Matrix, k: usize, lanczos_threshold: usize, seed: u64) -> Matrix {
     let n = l.nrows();
     let k = k.min(n).max(1);
@@ -228,11 +280,32 @@ mod tests {
     #[test]
     fn auto_path_picks_all_three_routes() {
         // Tiny → full dense; nearly-full spectrum → full dense;
-        // mid-size → dense-k; past the threshold → Lanczos.
+        // at or under the caller's floor → dense-k; past it → Lanczos.
         assert_eq!(resolve_eigen_path(16, 3, 512), EigenPath::DenseFull);
         assert_eq!(resolve_eigen_path(100, 30, 512), EigenPath::DenseFull);
         assert_eq!(resolve_eigen_path(100, 5, 512), EigenPath::DenseK);
+        assert_eq!(resolve_eigen_path(400, 5, 512), EigenPath::DenseK);
         assert_eq!(resolve_eigen_path(1000, 5, 512), EigenPath::Lanczos);
+    }
+
+    #[test]
+    fn default_route_follows_the_measured_crossover() {
+        // The module table's cases: Lanczos where its Krylov block is
+        // small next to n, dense-k where the block nears n.
+        for (n, k, want) in [
+            (80, 2, EigenPath::DenseK),
+            (200, 2, EigenPath::Lanczos),
+            (200, 24, EigenPath::DenseK),
+            (256, 16, EigenPath::Lanczos),
+            (512, 100, EigenPath::DenseK),
+            (2349, 9, EigenPath::Lanczos),
+        ] {
+            assert_eq!(
+                resolve_eigen_path(n, k, LANCZOS_THRESHOLD),
+                want,
+                "n = {n}, k = {k}"
+            );
+        }
     }
 
     #[test]

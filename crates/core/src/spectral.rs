@@ -21,7 +21,8 @@ pub struct SpectralConfig {
     pub k: usize,
     /// Kernel for the similarity matrix (paper: Gaussian, Eq. 1).
     pub kernel: Kernel,
-    /// Dense→Lanczos crossover handed to [`resolve_eigen_path`].
+    /// Dense floor handed to [`resolve_eigen_path`]: orders at or
+    /// under it stay on dense-k.
     pub lanczos_threshold: usize,
     /// RNG seed (K-means seeding, Lanczos start vector).
     pub seed: u64,
@@ -29,7 +30,7 @@ pub struct SpectralConfig {
 
 impl SpectralConfig {
     /// Defaults: Gaussian kernel σ = 0.2 (unit-normalized data), the
-    /// [`LANCZOS_THRESHOLD`] crossover.
+    /// [`LANCZOS_THRESHOLD`] dense floor.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "spectral clustering needs k >= 1");
         Self {

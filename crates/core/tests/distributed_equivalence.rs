@@ -7,26 +7,18 @@
 //! built without it.
 //!
 //! The fixtures cover both per-bucket eigensolver routes — dense-k
-//! buckets and buckets past the Lanczos threshold — each with
-//! consolidation on and off.
+//! buckets, Lanczos buckets in the mid-size band just past the dense
+//! floor, and large Lanczos buckets — each with consolidation on and
+//! off.
 
 use dasc_core::{
-    bucket_cluster_count, consolidate, Clustering, Dasc, DascConfig, SpectralClustering,
-    SpectralConfig, LANCZOS_THRESHOLD,
+    bucket_cluster_count, consolidate, resolve_eigen_path, Clustering, Dasc, DascConfig, EigenPath,
+    SpectralClustering, SpectralConfig,
 };
 use dasc_data::SyntheticConfig;
 use dasc_kernel::ApproximateGram;
 use dasc_lsh::{BucketSet, SignatureModel};
 use dasc_mapreduce::ClusterConfig;
-
-/// Which eigensolver route the fixture's buckets must reach.
-#[derive(Debug, PartialEq)]
-enum Route {
-    /// Every bucket at or under the Lanczos threshold.
-    DenseK,
-    /// At least one bucket past the Lanczos threshold.
-    Lanczos,
-}
 
 /// DASC as a serial composition of public calls: the whole approximate
 /// Gram first, then each block clustered with its bucket's seed.
@@ -63,22 +55,20 @@ fn assert_every_entry_point_matches_reference(
     name: &str,
     synthetic: SyntheticConfig,
     k: usize,
-    route: Route,
+    route: EigenPath,
 ) {
     let ds = synthetic.generate();
     let n = ds.points.len();
     for consolidate in [true, false] {
         let cfg = DascConfig::for_dataset(n, k).consolidate(consolidate);
         let (buckets, expected) = reference(&ds.points, &cfg);
+        // The route the largest bucket takes.
         let largest = buckets.sizes().into_iter().max().unwrap_or(0);
-        let reached = if largest > LANCZOS_THRESHOLD {
-            Route::Lanczos
-        } else {
-            Route::DenseK
-        };
+        let ki = bucket_cluster_count(k, largest, n);
+        let reached = resolve_eigen_path(largest, ki, cfg.lanczos_threshold);
         assert_eq!(
             reached, route,
-            "{name}: largest bucket has {largest} points"
+            "{name}: largest bucket has {largest} points and {ki} clusters"
         );
 
         let dasc = Dasc::new(cfg);
@@ -114,17 +104,29 @@ fn small_blobs() {
         "blobs(2000, 16, 8)",
         SyntheticConfig::blobs(2000, 16, 8),
         8,
-        Route::Lanczos,
+        EigenPath::Lanczos,
     );
 }
 
 #[test]
 fn grid_on_dense_k_buckets() {
     assert_every_entry_point_matches_reference(
+        "grid(1024, 64, 6)",
+        SyntheticConfig::grid(1024, 64, 6),
+        64,
+        EigenPath::DenseK,
+    );
+}
+
+#[test]
+fn grid_on_mid_size_lanczos_buckets() {
+    // Largest bucket 256 points: in the band just past the dense floor
+    // that Lanczos took over from dense-k.
+    assert_every_entry_point_matches_reference(
         "grid(4096, 64, 6)",
         SyntheticConfig::grid(4096, 64, 6),
         64,
-        Route::DenseK,
+        EigenPath::Lanczos,
     );
 }
 
@@ -134,6 +136,6 @@ fn large_blobs() {
         "blobs(6000, 32, 12)",
         SyntheticConfig::blobs(6000, 32, 12),
         12,
-        Route::Lanczos,
+        EigenPath::Lanczos,
     );
 }

@@ -3,6 +3,13 @@
 //! bit-identical across thread counts on the k-targeted dense path, and
 //! `SpectralClustering` must be exactly the Eq. 2 tail on the route
 //! `resolve_eigen_path` picks.
+//!
+//! `crossover_sweep_checks_both_routes` is `#[ignore]`d: it re-measures
+//! the dense-k/Lanczos crossover the route rule encodes. Run it with
+//! `cargo test --release -p dasc-core --test eigen_equivalence --
+//! --ignored --nocapture`.
+
+use std::time::Instant;
 
 use dasc_core::{
     normalized_laplacian_inplace, resolve_eigen_path, row_normalize, top_eigenvectors_with, Dasc,
@@ -10,7 +17,7 @@ use dasc_core::{
     LANCZOS_THRESHOLD,
 };
 use dasc_kernel::{full_gram_flat, Kernel};
-use dasc_linalg::{FlatPoints, Matrix};
+use dasc_linalg::{lanczos, symmetric_eigen_topk, FlatPoints, LanczosOptions, Matrix};
 use dasc_lsh::LshConfig;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -76,12 +83,14 @@ fn dense_k_spectral_run_bit_identical_across_thread_counts() {
 
 #[test]
 fn spectral_run_is_the_hand_built_tail_on_every_route() {
-    // 40 points reach dense_full (n <= 64), 200 dense_k, 600 Lanczos
-    // (past the 512 threshold). The blobs overlap, so the embedding is
-    // not already clustered and a skipped step shows in the labels.
+    // 40 points reach dense_full (n <= 64), 120 dense_k (under the
+    // 160-point floor), 200 Lanczos (the band just past the floor) and
+    // 600 Lanczos. The blobs overlap, so the embedding is not already
+    // clustered and a skipped step shows in the labels.
     for (n, want) in [
         (40, EigenPath::DenseFull),
-        (200, EigenPath::DenseK),
+        (120, EigenPath::DenseK),
+        (200, EigenPath::Lanczos),
         (600, EigenPath::Lanczos),
     ] {
         let pts = dasc_data::SyntheticConfig::blobs(n, 4, 4)
@@ -104,9 +113,10 @@ fn spectral_run_is_the_hand_built_tail_on_every_route() {
 
 #[test]
 fn dasc_pipeline_bit_identical_across_thread_counts() {
-    // Buckets of ~100+ points route through the k-targeted dense solve
-    // under Auto; the whole pipeline (LSH → Gram blocks → per-bucket
-    // spectral → consolidation) must not depend on the pool width.
+    // Buckets of ~100+ points route through whichever solver
+    // `resolve_eigen_path` picks; the whole pipeline (LSH → Gram
+    // blocks → per-bucket spectral → consolidation) must not depend on
+    // the pool width.
     let (pts, _) = four_blobs(100);
     let cfg = DascConfig::for_dataset(pts.len(), 4)
         .kernel(Kernel::gaussian(0.15))
@@ -127,15 +137,12 @@ fn dasc_pipeline_bit_identical_across_thread_counts() {
     }
 }
 
-#[test]
-fn lanczos_converges_on_a_low_eigengap_laplacian() {
-    // Overlapping blobs (spread 1.0) with 20% noise give a Laplacian
-    // whose leading eigenvalues crowd together, so one Krylov space of
-    // the default size is not enough. Every returned Ritz pair must
-    // still meet the residual bound and span the dense-k subspace.
-    let (n, k) = (512, 8);
+/// Normalized Laplacian of `blobs(n, 64, k)` at `spread` with 20%
+/// noise under a Gaussian median-σ kernel: overlapping blobs (spread
+/// 1.0) crowd the leading eigenvalues together, a small eigengap.
+fn noisy_blob_laplacian(n: usize, k: usize, spread: f64) -> Matrix {
     let pts = dasc_data::SyntheticConfig::blobs(n, 64, k)
-        .spread(1.0)
+        .spread(spread)
         .noise_fraction(0.2)
         .seed(2)
         .generate()
@@ -143,35 +150,111 @@ fn lanczos_converges_on_a_low_eigengap_laplacian() {
     let kernel = Kernel::gaussian_median_heuristic(&pts);
     let mut l = full_gram_flat(&FlatPoints::from_rows(&pts), &kernel);
     normalized_laplacian_inplace(&mut l);
+    l
+}
+
+/// Largest Rayleigh-quotient residual `‖Lv − (vᵀLv)v‖` over the columns
+/// of `vectors`.
+fn worst_residual(l: &Matrix, vectors: &Matrix) -> f64 {
+    let mut lv = vec![0.0; l.nrows()];
+    (0..vectors.ncols())
+        .map(|c| {
+            let v = vectors.col(c);
+            l.matvec_into(&v, &mut lv);
+            let lambda: f64 = v.iter().zip(&lv).map(|(a, b)| a * b).sum();
+            lv.iter()
+                .zip(&v)
+                .map(|(a, b)| (a - lambda * b).powi(2))
+                .sum::<f64>()
+                .sqrt()
+        })
+        .fold(0.0, f64::max)
+}
+
+/// Smallest squared norm any column of `vectors` keeps in the span of
+/// the orthonormal columns of `reference` (1 when the spans agree).
+fn worst_projection(reference: &Matrix, vectors: &Matrix) -> f64 {
+    let p = reference.transpose().matmul(vectors);
+    (0..p.ncols())
+        .map(|c| p.col(c).iter().map(|v| v * v).sum::<f64>())
+        .fold(1.0, f64::min)
+}
+
+#[test]
+fn lanczos_converges_on_a_low_eigengap_laplacian() {
+    // One Krylov space of the default size is not enough here. Every
+    // returned Ritz pair must still meet the residual bound and span
+    // the dense-k subspace.
+    let (n, k) = (512, 8);
+    let l = noisy_blob_laplacian(n, k, 1.0);
     let lanczos = top_eigenvectors_with(&l, k, EigenPath::Lanczos, 7);
     let dense = top_eigenvectors_with(&l, k, EigenPath::DenseK, 7);
-    let mut lv = vec![0.0; n];
-    let mut worst_res = 0.0f64;
-    let mut worst_proj = 1.0f64;
-    for c in 0..k {
-        let v = lanczos.col(c);
-        l.matvec_into(&v, &mut lv);
-        let lambda: f64 = v.iter().zip(&lv).map(|(a, b)| a * b).sum();
-        let residual = lv
-            .iter()
-            .zip(&v)
-            .map(|(a, b)| (a - lambda * b).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        worst_res = worst_res.max(residual);
-        let in_dense: f64 = (0..k)
-            .map(|d| {
-                dense
-                    .col(d)
-                    .iter()
-                    .zip(&v)
-                    .map(|(a, b)| a * b)
-                    .sum::<f64>()
-                    .powi(2)
-            })
-            .sum();
-        worst_proj = worst_proj.min(in_dense);
-    }
+    let worst_res = worst_residual(&l, &lanczos);
+    let worst_proj = worst_projection(&dense, &lanczos);
     assert!(worst_res <= 1e-8, "residual {worst_res:e}");
     assert!(worst_proj >= 1.0 - 1e-6, "projection {worst_proj}");
+}
+
+/// Best-of-`reps` wall time of `f` in milliseconds, with its last result.
+fn timed<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..reps {
+        let t = Instant::now();
+        out = Some(f());
+        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+    }
+    (best, out.expect("reps > 0"))
+}
+
+#[test]
+#[ignore = "crossover sweep: run in release with --ignored --nocapture"]
+fn crossover_sweep_checks_both_routes() {
+    // (spread, n, ks): the grid the route rule was read from, on one
+    // thread. Each order has cases on both sides of four Krylov blocks
+    // (`n / lanczos_block(k)`), k reaches n/5 at n = 1024, and 2349 is
+    // the largest bucket of the skewed benchmark workload.
+    let grid: [(f64, usize, &[usize]); 8] = [
+        (0.2, 80, &[2, 8, 16]),
+        (1.0, 128, &[2, 8, 16]),
+        (1.0, 160, &[2, 8, 16]),
+        (1.0, 200, &[2, 8, 16, 24]),
+        (1.0, 256, &[2, 8, 16, 32]),
+        (1.0, 512, &[2, 16, 48, 64, 100]),
+        (1.0, 1024, &[2, 64, 96, 128, 204]),
+        (1.0, 2349, &[9, 64, 200]),
+    ];
+    println!(
+        "{:>6} {:>5} {:>6} {:>11} {:>11} {:>6} {:>7}  route",
+        "n", "k", "spread", "dense_k_ms", "lanczos_ms", "dim", "ratio"
+    );
+    dasc_pool::Pool::new(1).install(|| {
+        for (spread, n, ks) in grid {
+            for &k in ks {
+                let l = noisy_blob_laplacian(n, k, spread);
+                let reps = (1_000_000 / (n * n)).clamp(1, 20);
+                let (dense_ms, dense) = timed(reps, || symmetric_eigen_topk(&l, k));
+                let (lanczos_ms, lz) = timed(reps, || lanczos(&l, &LanczosOptions::top(k)));
+                let route = resolve_eigen_path(n, k, LANCZOS_THRESHOLD);
+                println!(
+                    "{n:>6} {k:>5} {spread:>6} {dense_ms:>11.2} {lanczos_ms:>11.2} {:>6} {:>7.2}  {}",
+                    lz.subspace_dim,
+                    dense_ms / lanczos_ms,
+                    route.as_str()
+                );
+                for (name, vectors) in [
+                    ("dense_k", &dense.eigenvectors),
+                    ("lanczos", &lz.eigenvectors),
+                ] {
+                    let res = worst_residual(&l, vectors);
+                    assert!(res <= 1e-8, "n = {n}, k = {k}: {name} residual {res:e}");
+                }
+                let proj = worst_projection(&dense.eigenvectors, &lz.eigenvectors);
+                assert!(
+                    proj >= 1.0 - 1e-6,
+                    "n = {n}, k = {k}: lanczos keeps {proj} in the dense-k subspace"
+                );
+            }
+        }
+    });
 }

@@ -17,6 +17,35 @@ use crate::vector;
 /// against the row dots.
 const MATVEC_PANEL_ROWS: usize = 64;
 
+/// Tile edge of [`Matrix::mirror_upper`]: a 64×64 source tile is
+/// 32 KiB, small enough to stay cache resident while it is read
+/// column-wise.
+const MIRROR_TILE: usize = 64;
+
+/// Order from which [`Matrix::mirror_upper`] fans its row panels out
+/// across the pool; below it the pass is too short to pay for the
+/// hand-off. The same cliff as `dasc_kernel::gram::PARALLEL_MIN_POINTS`,
+/// whose Gram fills end in this pass.
+const MIRROR_PARALLEL_MIN_ORDER: usize = 256;
+
+/// A matrix buffer shared by the [`Matrix::mirror_upper`] panels, which
+/// write disjoint entries of it.
+#[derive(Clone, Copy)]
+struct RawSlice(*mut f64);
+
+// SAFETY: `RawSlice` is only handed to `mirror_upper`'s panels, whose
+// reads and writes never touch the same entry from two tasks.
+unsafe impl Send for RawSlice {}
+unsafe impl Sync for RawSlice {}
+
+impl RawSlice {
+    /// Pointer to entry `offset`. A method, not a field access, so that
+    /// closures capture the whole (`Sync`) wrapper.
+    fn at(self, offset: usize) -> *mut f64 {
+        self.0.wrapping_add(offset)
+    }
+}
+
 /// Dense row-major matrix of `f64`.
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
@@ -135,16 +164,43 @@ impl Matrix {
 
     /// Copy the upper triangle onto the lower one in place, making the
     /// matrix symmetric. Lets builders fill only `j >= i` and finish
-    /// with one linear pass instead of double-writing every entry.
+    /// with one copy pass instead of double-writing every entry.
+    ///
+    /// The pass copies `MIRROR_TILE × MIRROR_TILE` tiles, one row panel
+    /// of tiles per task, and from `MIRROR_PARALLEL_MIN_ORDER` up the
+    /// panels run across the pool. Every entry is a plain copy, so the
+    /// result is bit-identical at any thread count.
     ///
     /// # Panics
     /// Panics if the matrix is not square.
     pub fn mirror_upper(&mut self) {
         assert!(self.is_square(), "mirror_upper: matrix not square");
-        for i in 1..self.rows {
-            for j in 0..i {
-                self.data[i * self.cols + j] = self.data[j * self.cols + i];
+        let n = self.rows;
+        let panels = n.div_ceil(MIRROR_TILE);
+        let data = RawSlice(self.data.as_mut_ptr());
+        let mirror_panel = |p: usize| {
+            let r0 = p * MIRROR_TILE;
+            let r1 = (r0 + MIRROR_TILE).min(n);
+            for c0 in (0..=r0).step_by(MIRROR_TILE) {
+                for i in r0..r1 {
+                    for j in c0..(c0 + MIRROR_TILE).min(i) {
+                        // SAFETY: `i, j < n`, so both offsets lie inside
+                        // the `n·n` buffer, which `&mut self` keeps alive
+                        // and unborrowed for the whole pass. Panel `p`
+                        // writes only `(i, j)` with `j < i` and `i` in its
+                        // own rows, and every panel reads only `(j, i)`
+                        // with `j < i` — the strict upper triangle, which
+                        // no panel writes — so no entry is both written
+                        // and accessed by two tasks.
+                        unsafe { *data.at(i * n + j) = *data.at(j * n + i) };
+                    }
+                }
             }
+        };
+        if n >= MIRROR_PARALLEL_MIN_ORDER {
+            (0..panels).into_par_iter().for_each(mirror_panel);
+        } else {
+            (0..panels).for_each(mirror_panel);
         }
     }
 
@@ -200,17 +256,29 @@ impl Matrix {
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec: dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec: output dimension mismatch");
+        self.panel_product(x, 1, y);
+    }
+
+    /// `y = A X` with the `k` columns of `X` given as the rows of `xt`
+    /// and `y` row-major `rows × k`: one `gemm::abt_into` per
+    /// `MATVEC_PANEL_ROWS`-row panel, so each output entry comes from
+    /// the same instruction sequence at any thread count.
+    fn panel_product(&self, xt: &[f64], k: usize, y: &mut [f64]) {
         let dim = self.cols;
         if dim == 0 {
             y.fill(0.0);
             return;
         }
-        y.par_chunks_mut(MATVEC_PANEL_ROWS)
+        if k == 0 {
+            return;
+        }
+        y.par_chunks_mut(MATVEC_PANEL_ROWS * k)
             .enumerate()
             .for_each(|(panel, out)| {
                 let r0 = panel * MATVEC_PANEL_ROWS;
-                let rows = &self.data[r0 * dim..(r0 + out.len()) * dim];
-                crate::gemm::abt_into(rows, out.len(), x, 1, dim, out, 1);
+                let rows = out.len() / k;
+                let a = &self.data[r0 * dim..(r0 + rows) * dim];
+                crate::gemm::abt_into(a, rows, xt, k, dim, out, k);
             });
     }
 
@@ -293,6 +361,16 @@ impl MatVec for Matrix {
     fn matvec(&self, x: &[f64], y: &mut [f64]) {
         self.matvec_into(x, y);
     }
+
+    /// One gemm over the same row panels as [`Matrix::matvec_into`], so
+    /// the matrix streams through cache once for all `k` vectors
+    /// instead of once per vector.
+    fn matvec_many(&self, xt: &[f64], k: usize, y: &mut [f64]) {
+        let n = self.dim();
+        assert_eq!(xt.len(), k * n, "matvec_many: input shape mismatch");
+        assert_eq!(y.len(), n * k, "matvec_many: output shape mismatch");
+        self.panel_product(xt, k, y);
+    }
 }
 
 #[cfg(test)]
@@ -331,6 +409,50 @@ mod tests {
         assert_eq!(t.shape(), (3, 2));
         assert_eq!(t[(2, 1)], 6.0);
         assert_eq!(t.transpose(), m);
+    }
+
+    #[test]
+    fn tiled_mirror_matches_naive_loop_at_any_thread_count() {
+        // Odd orders straddle the tile edge and the parallel cliff.
+        for n in [1, 63, 65, 300] {
+            let upper = Matrix::from_fn(n, n, |i, j| {
+                if j >= i {
+                    (i * 1009 + j * 7) as f64 * 0.5
+                } else {
+                    f64::NAN
+                }
+            });
+            let mut want = upper.clone();
+            for i in 0..n {
+                for j in 0..i {
+                    want[(i, j)] = want[(j, i)];
+                }
+            }
+            for threads in [1, 2] {
+                let mut got = upper.clone();
+                dasc_pool::Pool::new(threads).install(|| got.mirror_upper());
+                assert_eq!(got, want, "n = {n}, {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn matvec_many_matches_matvec_per_column() {
+        // Integer entries keep every sum exact, so the two kernels'
+        // summation orders cannot show in the bits.
+        let n = 150;
+        let a = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 23) as f64 - 11.0);
+        let k = 3;
+        let xt: Vec<f64> = (0..k * n).map(|t| ((t * 13) % 7) as f64 - 3.0).collect();
+        let mut y = vec![0.0; n * k];
+        a.matvec_many(&xt, k, &mut y);
+        let mut col = vec![0.0; n];
+        for j in 0..k {
+            a.matvec_into(&xt[j * n..(j + 1) * n], &mut col);
+            for i in 0..n {
+                assert_eq!(y[i * k + j], col[i], "({i}, {j})");
+            }
+        }
     }
 
     #[test]

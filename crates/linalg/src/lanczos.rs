@@ -43,6 +43,15 @@ impl LanczosOptions {
     }
 }
 
+/// Vectors in the first Krylov space [`lanczos`] builds for `k` pairs,
+/// and in each extension after it: `max(2k + 20, 40)` (capped at the
+/// operator order by the solver). The eigen route rule in `dasc-core`
+/// reads the same function, so the solver's cost model and the route
+/// choice cannot drift apart.
+pub fn lanczos_block(k: usize) -> usize {
+    (2 * k + 20).max(40)
+}
+
 /// Residual bound every returned pair meets:
 /// `‖A v − λ v‖ ≤ RESIDUAL_TOL · max(1, |λ₁|)`.
 const RESIDUAL_TOL: f64 = 1e-8;
@@ -61,7 +70,7 @@ pub struct LanczosResult {
 /// Compute the `k` algebraically largest eigenpairs of a symmetric
 /// operator.
 ///
-/// The first Krylov space has `min(n, max(2k + 20, 40))` vectors. While
+/// The first Krylov space has `min(n, lanczos_block(k))` vectors. While
 /// any requested Ritz pair misses the residual bound, the same
 /// recurrence from the same start vector grows the space by that much
 /// again, until every pair passes or the basis spans the space. So a
@@ -85,7 +94,7 @@ pub fn lanczos<A: MatVec>(a: &A, opts: &LanczosOptions) -> LanczosResult {
         };
     }
 
-    let step = (2 * k + 20).max(40).min(n);
+    let step = lanczos_block(k).min(n);
     let mut m = step;
     let mut rng = ChaCha8Rng::seed_from_u64(opts.seed);
     // Krylov basis, one row per Lanczos vector (row-major friendly).
@@ -142,11 +151,11 @@ pub fn lanczos<A: MatVec>(a: &A, opts: &LanczosOptions) -> LanczosResult {
             }
         }
 
-        let (values, vectors) = ritz_pairs(&basis, &alphas, &betas, k);
-        if spans_space || basis.len() == n || residuals_pass(a, &values, &vectors) {
+        let (values, ritz) = ritz_pairs(&basis, &alphas, &betas, k);
+        if spans_space || basis.len() == n || residuals_pass(a, &values, &ritz) {
             return LanczosResult {
                 eigenvalues: values,
-                eigenvectors: vectors,
+                eigenvectors: ritz.transpose(),
                 subspace_dim: basis.len(),
             };
         }
@@ -155,7 +164,8 @@ pub fn lanczos<A: MatVec>(a: &A, opts: &LanczosOptions) -> LanczosResult {
 }
 
 /// The top-`k` Ritz pairs of the Lanczos basis: eigenpairs of the
-/// projected tridiagonal matrix, lifted back through the basis.
+/// projected tridiagonal matrix, lifted back through the basis. The
+/// Ritz vectors come back as the rows of a `k × n` matrix.
 fn ritz_pairs(basis: &[Vec<f64>], alphas: &[f64], betas: &[f64], k: usize) -> (Vec<f64>, Matrix) {
     let dim = basis.len();
     // Assemble the projected tridiagonal matrix T (EISPACK layout: the
@@ -172,30 +182,36 @@ fn ritz_pairs(basis: &[Vec<f64>], alphas: &[f64], betas: &[f64], k: usize) -> (V
 
     // Ritz vectors: V = Qᵀ · s  (basis rows are the Lanczos vectors).
     let n = basis[0].len();
-    let mut vectors = Matrix::zeros(n, values.len());
-    #[allow(clippy::needless_range_loop)] // col indexes both factors
-    for col in 0..values.len() {
+    let mut ritz = Matrix::zeros(values.len(), n);
+    for (col, v) in ritz.as_mut_slice().chunks_exact_mut(n).enumerate() {
         for (j, b) in basis.iter().enumerate() {
             let c = small_vecs[(j, col)];
             if c != 0.0 {
-                for i in 0..n {
-                    vectors[(i, col)] += c * b[i];
+                for (vi, bi) in v.iter_mut().zip(b) {
+                    *vi += c * bi;
                 }
             }
         }
     }
-    (values, vectors)
+    (values, ritz)
 }
 
-/// Whether every Ritz pair meets the [`RESIDUAL_TOL`] bound.
-fn residuals_pass<A: MatVec>(a: &A, values: &[f64], vectors: &Matrix) -> bool {
+/// Whether every Ritz pair (`ritz` holds the vectors as rows) meets the
+/// [`RESIDUAL_TOL`] bound. One [`MatVec::matvec_many`] call reads the
+/// operator once for all pairs.
+fn residuals_pass<A: MatVec>(a: &A, values: &[f64], ritz: &Matrix) -> bool {
+    let (k, n) = ritz.shape();
     let lambda_scale = values.first().map_or(1.0, |v| v.abs()).max(1.0);
-    let mut av = vec![0.0; vectors.nrows()];
+    let mut av = vec![0.0; n * k];
+    a.matvec_many(ritz.as_slice(), k, &mut av);
     values.iter().enumerate().all(|(col, &lambda)| {
-        let v = vectors.col(col);
-        a.matvec(&v, &mut av);
-        vector::axpy(-lambda, &v, &mut av);
-        vector::norm2(&av) <= RESIDUAL_TOL * lambda_scale
+        let residual_sq: f64 = ritz
+            .row(col)
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (av[i * k + col] - lambda * v).powi(2))
+            .sum();
+        residual_sq.sqrt() <= RESIDUAL_TOL * lambda_scale
     })
 }
 

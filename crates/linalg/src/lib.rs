@@ -28,8 +28,9 @@
 //! hot gemm/dot/axpy primitives dispatch once per process to a SIMD
 //! backend (AVX2+FMA or NEON) or the portable scalar kernels via
 //! [`KernelBackend`], selectable with `DASC_KERNEL=scalar|auto`. The
-//! only `unsafe` in the crate is the `#[target_feature]` kernels in
-//! [`simd`], gated behind runtime CPU-feature detection.
+//! `unsafe` in the crate is the `#[target_feature]` kernels in
+//! [`simd`], gated behind runtime CPU-feature detection, plus the
+//! disjoint-entry writes of the parallel [`Matrix::mirror_upper`].
 //!
 //! ```
 //! use dasc_linalg::{symmetric_eigen, Matrix};
@@ -59,7 +60,7 @@ pub use eigen_k::{
     symmetric_eigen_topk, tridiagonal_eigenvalues, tridiagonal_eigenvectors, TopEigen,
 };
 pub use gemm::{abt_into, pairwise_sq_dists, row_sq_norms, row_sq_norms_flat, sq_dists_into};
-pub use lanczos::{lanczos, LanczosOptions, LanczosResult};
+pub use lanczos::{lanczos, lanczos_block, LanczosOptions, LanczosResult};
 pub use operator::MatVec;
 pub use points::{FlatPoints, FlatPointsView, PointsView};
 pub use qr::{qr, QrDecomposition};

@@ -14,6 +14,28 @@ pub trait MatVec: Sync {
     /// Implementations may assume `x.len() == y.len() == self.dim()`.
     fn matvec(&self, x: &[f64], y: &mut [f64]);
 
+    /// Apply the operator to `k` vectors at once: `xt` holds them back
+    /// to back (`Xᵀ`, `k × n` row-major) and `y` receives `A X` as an
+    /// `n × k` row-major matrix, `y[i·k + j] = (A xⱼ)ᵢ`.
+    ///
+    /// The default calls [`MatVec::matvec`] once per vector; operators
+    /// that can read themselves once for the whole block override it.
+    ///
+    /// # Panics
+    /// Panics if `xt.len() != k·n` or `y.len() != n·k`.
+    fn matvec_many(&self, xt: &[f64], k: usize, y: &mut [f64]) {
+        let n = self.dim();
+        assert_eq!(xt.len(), k * n, "matvec_many: input shape mismatch");
+        assert_eq!(y.len(), n * k, "matvec_many: output shape mismatch");
+        let mut col = vec![0.0; n];
+        for j in 0..k {
+            self.matvec(&xt[j * n..(j + 1) * n], &mut col);
+            for (i, v) in col.iter().enumerate() {
+                y[i * k + j] = *v;
+            }
+        }
+    }
+
     /// Convenience allocation wrapper around [`MatVec::matvec`].
     fn apply(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.dim()];
@@ -60,6 +82,16 @@ mod tests {
         let s = Shifted::new(&a, 3.0);
         let y = s.apply(&[1.0, 0.0]);
         assert_eq!(y, vec![4.0, 2.0]);
+    }
+
+    #[test]
+    fn matvec_many_default_stacks_matvec_columns() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let s = Shifted::new(&a, 1.0);
+        // Vectors e₀ and (1, 1), back to back.
+        let mut y = vec![0.0; 4];
+        s.matvec_many(&[1.0, 0.0, 1.0, 1.0], 2, &mut y);
+        assert_eq!(y, vec![2.0, 4.0, 3.0, 8.0]);
     }
 
     #[test]

@@ -186,10 +186,13 @@ fn distributed_training_exports_equivalent_artifact() {
 
 #[test]
 fn artifact_bytes_match_golden() {
-    // A hand-built one-bucket model, so the bytes depend on the codec
-    // alone, not on training numerics.
+    // A hand-built one-bucket model with every config field pinned, so
+    // the bytes depend on the codec alone, not on training numerics or
+    // library defaults.
+    let mut config = DascConfig::for_dataset(2, 1).seed(7);
+    config.lanczos_threshold = 512;
     let artifact = ModelArtifact {
-        config: DascConfig::for_dataset(2, 1).seed(7),
+        config,
         dimension: 2,
         num_clusters: 1,
         trained_points: 2,
