@@ -6,33 +6,20 @@
 //! inputs it runs as point×centroid squared-distance *tiles* through
 //! the `dasc_linalg::gemm` micro-kernel (norm expansion, per-iteration
 //! centroid norms) instead of a scalar `sq_dist` per pair — see
-//! [`AssignPath`]. Tie-breaking is bitwise deterministic on both paths:
-//! the lowest centroid index wins.
+//! [`TILED_MIN_POINTS`]. Tie-breaking is bitwise deterministic on both
+//! paths: the lowest centroid index wins.
 
 use dasc_linalg::{gemm, vector, FlatPoints};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
-/// How the assignment step computes point→centroid distances.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum AssignPath {
-    /// Tiled for at least [`TILED_MIN_POINTS`] points, scalar below —
-    /// the default.
-    #[default]
-    Auto,
-    /// Always one scalar `sq_dist` per (point, centroid) pair — the
-    /// reference path, bit-identical to the pre-tiling implementation.
-    Scalar,
-    /// Always distance tiles via the GEMM micro-kernel. Distances agree
-    /// with the scalar path to a few ULPs (norm-expansion cancellation),
-    /// so assignments can differ only on near-exact ties.
-    Tiled,
-}
-
-/// Smallest dataset [`AssignPath::Auto`] routes to the tiled assignment
-/// step; below this the per-iteration norm pass outweighs the tile
-/// reuse. Matches the Gram layer's `dasc_kernel::TILED_MIN_POINTS`.
+/// Smallest dataset whose assignment step runs as distance tiles; below
+/// this the per-iteration norm pass outweighs the tile reuse, and one
+/// scalar `sq_dist` per (point, centroid) pair serves instead. The two
+/// paths' distances agree to a few ULPs (norm-expansion cancellation),
+/// so their assignments can differ only on near-exact ties. Matches the
+/// Gram layer's `dasc_kernel::TILED_MIN_POINTS`.
 pub const TILED_MIN_POINTS: usize = 64;
 
 /// Rows per assignment tile: each pool task owns this many points'
@@ -63,13 +50,10 @@ pub struct KMeansConfig {
     /// what keep the SC/DASC comparison about the approximation rather
     /// than seeding luck.
     pub restarts: usize,
-    /// Assignment-step implementation (see [`AssignPath`]).
-    pub assign_path: AssignPath,
 }
 
 impl KMeansConfig {
-    /// Defaults: 100 iterations, 1e-6 tolerance, 8 restarts, fixed seed,
-    /// automatic assignment path.
+    /// Defaults: 100 iterations, 1e-6 tolerance, 8 restarts, fixed seed.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "k-means needs k >= 1");
         Self {
@@ -78,7 +62,6 @@ impl KMeansConfig {
             tol: 1e-6,
             seed: 0xC1A55E5,
             restarts: 8,
-            assign_path: AssignPath::Auto,
         }
     }
 
@@ -92,12 +75,6 @@ impl KMeansConfig {
     pub fn restarts(mut self, r: usize) -> Self {
         assert!(r >= 1, "need at least one restart");
         self.restarts = r;
-        self
-    }
-
-    /// Builder: assignment path (A/B testing and equivalence suites).
-    pub fn assign_path(mut self, path: AssignPath) -> Self {
-        self.assign_path = path;
         self
     }
 }
@@ -119,12 +96,20 @@ pub struct KMeansResult {
 #[derive(Clone, Debug)]
 pub struct KMeans {
     config: KMeansConfig,
+    /// Pins the assignment step to the tiled (`true`) or scalar
+    /// (`false`) path regardless of `n`, so tests can compare the two.
+    #[cfg(test)]
+    force_tiled: Option<bool>,
 }
 
 impl KMeans {
     /// Create a clusterer from a configuration.
     pub fn new(config: KMeansConfig) -> Self {
-        Self { config }
+        Self {
+            config,
+            #[cfg(test)]
+            force_tiled: None,
+        }
     }
 
     /// Cluster `points` into `k` groups: best of `restarts` independent
@@ -176,11 +161,11 @@ impl KMeans {
     }
 
     fn tiled_assignment(&self, n: usize) -> bool {
-        match self.config.assign_path {
-            AssignPath::Auto => n >= TILED_MIN_POINTS,
-            AssignPath::Scalar => false,
-            AssignPath::Tiled => true,
+        #[cfg(test)]
+        if let Some(tiled) = self.force_tiled {
+            return tiled;
         }
+        n >= TILED_MIN_POINTS
     }
 
     fn run_once(&self, points: &FlatPoints, seed: u64) -> KMeansResult {
@@ -416,6 +401,14 @@ fn kmeanspp_init(points: &FlatPoints, k: usize, rng: &mut ChaCha8Rng) -> Vec<f64
 mod tests {
     use super::*;
 
+    impl KMeans {
+        /// Pin the assignment step to the tiled or the scalar path.
+        fn on_path(mut self, tiled: bool) -> Self {
+            self.force_tiled = Some(tiled);
+            self
+        }
+    }
+
     fn two_blobs() -> Vec<Vec<f64>> {
         let mut pts = Vec::new();
         for i in 0..20 {
@@ -489,8 +482,8 @@ mod tests {
         // the same clustering as the scalar reference (distances agree
         // to ULPs; blob fixtures have no near-exact ties).
         let pts = two_blobs();
-        let scalar = KMeans::new(KMeansConfig::new(2).assign_path(AssignPath::Scalar)).run(&pts);
-        let tiled = KMeans::new(KMeansConfig::new(2).assign_path(AssignPath::Tiled)).run(&pts);
+        let scalar = KMeans::new(KMeansConfig::new(2)).on_path(false).run(&pts);
+        let tiled = KMeans::new(KMeansConfig::new(2)).on_path(true).run(&pts);
         assert_eq!(scalar.assignments, tiled.assignments);
         assert!((scalar.inertia - tiled.inertia).abs() < 1e-9);
     }
@@ -549,5 +542,105 @@ mod tests {
     #[should_panic(expected = "k >= 1")]
     fn zero_k_panics() {
         KMeansConfig::new(0);
+    }
+
+    /// The scalar-vs-tiled equivalence suite: the micro-kernel
+    /// assignment step must land on the same clusterings as the scalar
+    /// reference path, on raw point clouds and on the spectral
+    /// embeddings the pipeline actually feeds it.
+    mod path_equivalence {
+        use super::super::*;
+        use crate::embedding::{normalized_laplacian, row_normalize, top_eigenvectors};
+        use dasc_kernel::{full_gram, Kernel};
+        use proptest::prelude::*;
+
+        /// Scalar (`tiled = false`) or tiled assignment, pinned.
+        fn km(k: usize, seed: u64, tiled: bool) -> KMeans {
+            KMeans::new(KMeansConfig::new(k).seed(seed)).on_path(tiled)
+        }
+
+        /// Two well-separated Gaussian-ish blobs, n points, interleaved labels.
+        fn two_blobs(n: usize) -> Vec<Vec<f64>> {
+            (0..n)
+                .map(|i| {
+                    let t = i as f64 * 0.7;
+                    let (cx, cy) = if i % 2 == 0 { (0.0, 0.0) } else { (6.0, 6.0) };
+                    vec![cx + 0.3 * t.sin(), cy + 0.3 * t.cos()]
+                })
+                .collect()
+        }
+
+        /// The spectral-embedding fixture: rows of the top-k eigenvector
+        /// matrix of a normalized Laplacian, row-normalized — exactly
+        /// what `run_on_similarity` hands to k-means.
+        fn spectral_embedding(n: usize, k: usize) -> FlatPoints {
+            let pts = two_blobs(n);
+            let gram = full_gram(&pts, &Kernel::gaussian(1.5));
+            let l = normalized_laplacian(&gram);
+            let mut y = top_eigenvectors(&l, k, usize::MAX, 7);
+            row_normalize(&mut y);
+            FlatPoints::from_flat(y.into_vec(), k)
+        }
+
+        #[test]
+        fn tiled_matches_scalar_on_two_blobs() {
+            // 150 points clears TILED_MIN_POINTS, so scalar vs tiled
+            // here is a genuine cross-path comparison.
+            let pts = two_blobs(150);
+            for seed in [0u64, 1, 42, 0xDA5C] {
+                let scalar = km(2, seed, false).run(&pts);
+                let tiled = km(2, seed, true).run(&pts);
+                assert_eq!(
+                    scalar.assignments, tiled.assignments,
+                    "assignments diverge at seed {seed}"
+                );
+                assert!((scalar.inertia - tiled.inertia).abs() < 1e-9);
+            }
+        }
+
+        #[test]
+        fn tiled_matches_scalar_on_spectral_embedding() {
+            // Embedding coordinates are row-normalized (unit scale), the
+            // regime the norm-expansion tolerance analysis assumes.
+            for k in [2usize, 3] {
+                let emb = spectral_embedding(120, k);
+                for seed in [3u64, 99] {
+                    let scalar = km(k, seed, false).run_flat(&emb);
+                    let tiled = km(k, seed, true).run_flat(&emb);
+                    assert_eq!(
+                        scalar.assignments, tiled.assignments,
+                        "k={k} seed={seed}: embedding clusterings diverge"
+                    );
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            #[test]
+            fn paths_agree_on_random_clouds(
+                data in prop::collection::vec(-2.0f64..2.0, 130..480),
+                dim in 1usize..5,
+                seed in 0u64..1000,
+            ) {
+                // Random clouds have no structure, so Lloyd wanders more
+                // and any assignment divergence between the paths
+                // compounds — this is a stronger probe than the blob
+                // fixtures. Near-exact ties are measure-zero for
+                // continuous draws.
+                let n = data.len() / dim;
+                let pts = FlatPoints::from_flat(data[..n * dim].to_vec(), dim);
+                let scalar = km(3, seed, false).run_flat(&pts);
+                let tiled = km(3, seed, true).run_flat(&pts);
+                prop_assert_eq!(&scalar.assignments, &tiled.assignments);
+
+                // And the nested-Vec entry point must match the flat one bitwise.
+                let nested: Vec<Vec<f64>> = (0..n).map(|i| pts.row(i).to_vec()).collect();
+                let via_nested = km(3, seed, false).run(&nested);
+                prop_assert_eq!(&scalar.assignments, &via_nested.assignments);
+                prop_assert_eq!(scalar.inertia, via_nested.inertia);
+            }
+        }
     }
 }

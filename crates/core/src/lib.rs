@@ -38,7 +38,7 @@ pub use embedding::{
     normalized_laplacian, normalized_laplacian_inplace, resolve_eigen_path, row_normalize,
     top_eigenvectors, top_eigenvectors_with, EigenPath, LANCZOS_THRESHOLD,
 };
-pub use kmeans::{AssignPath, KMeans, KMeansConfig, KMeansResult};
+pub use kmeans::{KMeans, KMeansConfig, KMeansResult};
 pub use local_scaling::{local_scales, local_scaling_similarity};
 pub use nystrom_sc::{Nystrom, NystromConfig, NystromResult};
 pub use psc::{ParallelSpectral, PscConfig, PscResult};

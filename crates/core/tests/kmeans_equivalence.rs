@@ -1,18 +1,18 @@
-//! Equivalence suite for the flat, tiled-assignment k-means: the
-//! micro-kernel assignment step must land on the same clusterings as
-//! the scalar reference path, on raw point clouds and on the spectral
-//! embeddings the pipeline actually feeds it — at every thread count.
+//! Thread-count stability of the flat k-means: the assignment step
+//! fans tiles across the pool, and the clustering of a spectral
+//! embedding must not depend on how many threads it had. (The
+//! scalar-vs-tiled path equivalence suite lives beside the two paths,
+//! in `kmeans.rs`.)
 
 use dasc_core::embedding::{normalized_laplacian, row_normalize, top_eigenvectors};
-use dasc_core::{AssignPath, KMeans, KMeansConfig};
+use dasc_core::{KMeans, KMeansConfig};
 use dasc_kernel::{full_gram, Kernel};
 use dasc_linalg::FlatPoints;
-use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-fn km(k: usize, seed: u64, path: AssignPath) -> KMeans {
-    KMeans::new(KMeansConfig::new(k).seed(seed).assign_path(path))
+fn km(k: usize, seed: u64) -> KMeans {
+    KMeans::new(KMeansConfig::new(k).seed(seed))
 }
 
 /// Two well-separated Gaussian-ish blobs, n points, interleaved labels.
@@ -39,45 +39,11 @@ fn spectral_embedding(n: usize, k: usize) -> FlatPoints {
 }
 
 #[test]
-fn tiled_matches_scalar_on_two_blobs() {
-    // 150 points clears the Auto threshold, so Scalar vs Tiled here is a
-    // genuine cross-path comparison.
-    let pts = two_blobs(150);
-    for seed in [0u64, 1, 42, 0xDA5C] {
-        let scalar = km(2, seed, AssignPath::Scalar).run(&pts);
-        let tiled = km(2, seed, AssignPath::Tiled).run(&pts);
-        assert_eq!(
-            scalar.assignments, tiled.assignments,
-            "assignments diverge at seed {seed}"
-        );
-        assert!((scalar.inertia - tiled.inertia).abs() < 1e-9);
-    }
-}
-
-#[test]
-fn tiled_matches_scalar_on_spectral_embedding() {
-    // Embedding coordinates are row-normalized (unit scale), the regime
-    // the norm-expansion tolerance analysis assumes.
-    for k in [2usize, 3] {
-        let emb = spectral_embedding(120, k);
-        for seed in [3u64, 99] {
-            let scalar = km(k, seed, AssignPath::Scalar).run_flat(&emb);
-            let tiled = km(k, seed, AssignPath::Tiled).run_flat(&emb);
-            assert_eq!(
-                scalar.assignments, tiled.assignments,
-                "k={k} seed={seed}: embedding clusterings diverge"
-            );
-        }
-    }
-}
-
-#[test]
 fn flat_run_deterministic_across_thread_counts() {
     let emb = spectral_embedding(100, 2);
-    let reference = dasc_pool::Pool::new(1).install(|| km(2, 5, AssignPath::Auto).run_flat(&emb));
+    let reference = dasc_pool::Pool::new(1).install(|| km(2, 5).run_flat(&emb));
     for threads in THREAD_COUNTS {
-        let got =
-            dasc_pool::Pool::new(threads).install(|| km(2, 5, AssignPath::Auto).run_flat(&emb));
+        let got = dasc_pool::Pool::new(threads).install(|| km(2, 5).run_flat(&emb));
         assert_eq!(
             reference.assignments, got.assignments,
             "assignments differ at {threads} threads"
@@ -87,32 +53,5 @@ fn flat_run_deterministic_across_thread_counts() {
             "inertia differs at {threads} threads"
         );
         assert_eq!(reference.centroids, got.centroids);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn paths_agree_on_random_clouds(
-        data in prop::collection::vec(-2.0f64..2.0, 130..480),
-        dim in 1usize..5,
-        seed in 0u64..1000,
-    ) {
-        // Random clouds have no structure, so Lloyd wanders more and any
-        // assignment divergence between the paths compounds — this is a
-        // stronger probe than the blob fixtures. Near-exact ties are
-        // measure-zero for continuous draws.
-        let n = data.len() / dim;
-        let pts = FlatPoints::from_flat(data[..n * dim].to_vec(), dim);
-        let scalar = km(3, seed, AssignPath::Scalar).run_flat(&pts);
-        let tiled = km(3, seed, AssignPath::Tiled).run_flat(&pts);
-        prop_assert_eq!(&scalar.assignments, &tiled.assignments);
-
-        // And the nested-Vec entry point must match the flat one bitwise.
-        let nested: Vec<Vec<f64>> = (0..n).map(|i| pts.row(i).to_vec()).collect();
-        let via_nested = km(3, seed, AssignPath::Scalar).run(&nested);
-        prop_assert_eq!(&scalar.assignments, &via_nested.assignments);
-        prop_assert_eq!(scalar.inertia, via_nested.inertia);
     }
 }

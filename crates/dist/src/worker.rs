@@ -392,6 +392,10 @@ pub fn execute_task_traced(
                         FlatPoints::from_flat(rows.concat(), rows.first().map_or(0, |r| r.len()))
                     })?;
                     let _cluster_span = tracer.span("dist.task.reduce.cluster");
+                    // `JobSpec` carries no dense floor, so every job
+                    // routes at the library default, whatever
+                    // `DascConfig::lanczos_threshold` the caller's
+                    // in-process runs use.
                     Ok(TaskOutput::ReduceBucket(
                         reduce_bucket(
                             &points,

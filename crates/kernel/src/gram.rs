@@ -35,8 +35,9 @@ const GRAM_PANEL_ROWS: usize = 64;
 /// Smallest point count worth fanning out across the thread pool.
 ///
 /// Below this, a full Gram fill is microseconds of work and the pool's
-/// task hand-off dominates — `BENCH_pipeline.json` recorded a 0.96×
-/// "speedup" at n=1000 before this threshold existed. Both fill paths
+/// task hand-off dominates — the pipeline measured a 0.96× "speedup"
+/// at n=1000 before this threshold existed, and the facade's
+/// `parallel_floor_gate` test keeps it at or above 0.95×. Both fill paths
 /// produce bit-identical output either way (each chunk's contents
 /// depend only on its row range), so the sequential branch is purely a
 /// scheduling decision.
