@@ -64,10 +64,13 @@ use dasc_linalg::{
 /// [`top_eigenvectors_with`] forces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EigenPath {
-    /// Full Householder + QL with `O(n³)` rotation accumulation.
+    /// Full decomposition (`symmetric_eigen`): Householder reduction,
+    /// QL rotating all `n` vectors, then a blocked back-transform of
+    /// all of them; `O(n³)`.
     DenseFull,
-    /// K-targeted dense path: factored Householder, eigenvalues-only
-    /// QL, inverse iteration, blocked back-transform.
+    /// K-targeted dense path (`symmetric_eigen_topk`): the same
+    /// reduction, eigenvalues-only QL, inverse iteration, and a
+    /// back-transform of just the `k` wanted vectors.
     DenseK,
     /// Lanczos with full reorthogonalization on the dense operator.
     Lanczos,

@@ -13,6 +13,7 @@ use dasc_kernel::Kernel;
 use dasc_linalg::{lanczos, CooBuilder, CsrMatrix, FlatPoints, LanczosOptions};
 use rayon::prelude::*;
 
+use crate::dasc::bucket_cluster_count;
 use crate::embedding::row_normalize;
 use crate::kmeans::{KMeans, KMeansConfig};
 use crate::Clustering;
@@ -196,7 +197,7 @@ impl ParallelSpectral {
             let ki = if num_comps >= k {
                 1
             } else {
-                ((k as f64 * group.len() as f64 / n as f64).round() as usize).clamp(1, group.len())
+                bucket_cluster_count(k, group.len(), n)
             };
             if ki == 1 || group.len() == 1 {
                 for &i in group {

@@ -75,8 +75,6 @@ fn two_workers_match_in_process_engine() {
 
 #[test]
 fn killed_worker_mid_map_recovers_and_matches() {
-    // Enough points for several map waves so the dying worker is very
-    // likely to take its fatal assignment while maps are outstanding.
     let points = blobs(600, 4);
     let config = DascConfig::for_dataset(points.len(), 4);
     let baseline =
@@ -86,7 +84,9 @@ fn killed_worker_mid_map_recovers_and_matches() {
     let coordinator = Coordinator::start("127.0.0.1:0", cluster.clone()).expect("coordinator");
     let addr = coordinator.addr().to_string();
 
-    // Victim: accepts one task, then vanishes with it in flight.
+    // Victim: accepts one task, then vanishes with it in flight. It is
+    // the only worker until it has died, so its fatal assignment is a
+    // map task of this job however fast the host runs the rest.
     let victim = worker::spawn(
         &addr,
         WorkerOptions {
@@ -94,12 +94,16 @@ fn killed_worker_mid_map_recovers_and_matches() {
             ..WorkerOptions::named("victim")
         },
     );
-    let survivor = worker::spawn(&addr, WorkerOptions::named("survivor"));
-
-    let mut client = JobClient::connect(&addr, &cluster);
-    let outcome = client
-        .run(spec_for(&points, &config), |_, _, _| {})
-        .expect("job survives a worker death");
+    let (outcome, survivor) = std::thread::scope(|s| {
+        let job = s.spawn(|| {
+            JobClient::connect(&addr, &cluster)
+                .run(spec_for(&points, &config), |_, _, _| {})
+                .expect("job survives a worker death")
+        });
+        victim.wait().expect("victim exits cleanly");
+        let survivor = worker::spawn(&addr, WorkerOptions::named("survivor"));
+        (job.join().expect("job thread"), survivor)
+    });
 
     // The victim died holding a task: the job must have retried it.
     assert!(
@@ -107,7 +111,6 @@ fn killed_worker_mid_map_recovers_and_matches() {
         "expected at least one retry, got {}",
         outcome.task_retries
     );
-    victim.wait().expect("victim exits cleanly");
 
     // Bit-identical to the in-process engine despite the death.
     assert_eq!(outcome.assignments, baseline.clustering.assignments);
@@ -159,22 +162,30 @@ fn ref_job_with_killed_worker_matches_inline_bit_identically() {
             ..WorkerOptions::named("ref-victim")
         },
     );
-    let survivor = worker::spawn(&addr, WorkerOptions::named("ref-survivor"));
 
-    // The ref job runs first, while the victim is still alive: its
-    // fatal assignment lands mid-job and the task is retried elsewhere.
-    let mut client = JobClient::connect(&addr, &cluster);
+    // The ref job runs first, with the victim as its only worker: its
+    // fatal assignment lands mid-job, and the survivor, started once
+    // the victim is gone, retries the task.
     let mut ref_spec = spec_for(&points, &config);
     ref_spec.data = ref_data;
-    let by_ref = client
-        .run(ref_spec, |_, _, _| {})
-        .expect("ref job survives a worker death");
+    let (mut client, by_ref, survivor) = std::thread::scope(|s| {
+        let job = s.spawn(|| {
+            let mut client = JobClient::connect(&addr, &cluster);
+            let by_ref = client
+                .run(ref_spec, |_, _, _| {})
+                .expect("ref job survives a worker death");
+            (client, by_ref)
+        });
+        victim.wait().expect("victim exits cleanly");
+        let survivor = worker::spawn(&addr, WorkerOptions::named("ref-survivor"));
+        let (client, by_ref) = job.join().expect("job thread");
+        (client, by_ref, survivor)
+    });
     assert!(
         by_ref.task_retries >= 1,
         "expected at least one retry, got {}",
         by_ref.task_retries
     );
-    victim.wait().expect("victim exits cleanly");
 
     let inline = client
         .run(spec_for(&points, &config), |_, _, _| {})

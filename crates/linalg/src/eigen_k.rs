@@ -2,16 +2,14 @@
 //!
 //! The spectral embedding (paper Eq. 2) needs only the top `k ≈ 5`
 //! eigenvectors of each bucket Laplacian, but the full dense solver
-//! pays `O(n³)` to rotate an `n×n` transform through QL. This module
-//! assembles the cheap route:
+//! rotates and back-transforms all `n` vectors. This module assembles
+//! the cheap route:
 //!
-//! 1. Householder tridiagonalization *without* `Q` accumulation
-//!    ([`crate::tridiagonalize_factored`]) — `O(n³)/3` once,
-//! 2. QL for eigenvalues only ([`tridiagonal_eigenvalues`], EISPACK
-//!    `tql1`) — `O(n²)`,
+//! 1. the crate's Householder reduction, reflectors kept factored —
+//!    `O(n³)/3` once,
+//! 2. the crate's QL in eigenvalues-only mode — `O(n²)`,
 //! 3. inverse iteration on the tridiagonal for the `k` wanted vectors
-//!    ([`tridiagonal_eigenvectors`], EISPACK `tinvit` lineage) —
-//!    `O(nk)` per sweep,
+//!    (EISPACK `tinvit` lineage) — `O(nk)` per sweep,
 //! 4. a blocked compact-WY back-transform of those `k` vectors through
 //!    the `gemm` panel kernel — `O(n²k)`.
 //!
@@ -22,11 +20,9 @@
 //! dispatches to the process kernel backend (see [`crate::simd`]) like
 //! the rest of the hot path.
 
-use crate::tridiag::{tridiagonalize_factored, FactoredTridiagonal};
+use crate::eigen::tridiagonal_ql;
+use crate::tridiag::tridiagonalize;
 use crate::{vector, Matrix};
-
-/// QL sweeps before declaring failure (same budget as `eigen.rs`).
-const MAX_QL_ITERATIONS: usize = 50;
 
 /// Inverse-iteration solves per vector; with a random start two solves
 /// already give `O(ε)` residuals, the third buys margin for perturbed
@@ -45,91 +41,6 @@ pub struct TopEigen {
     /// `n×k` matrix whose column `j` is the unit eigenvector for
     /// `eigenvalues[j]`.
     pub eigenvectors: Matrix,
-}
-
-/// All eigenvalues of a symmetric tridiagonal matrix, ascending
-/// (EISPACK `tql1`: implicit-shift QL without eigenvector rotations).
-///
-/// `off_diagonal[i]` couples rows `i-1` and `i`; `off_diagonal[0]` is
-/// ignored, matching [`crate::Tridiagonal`].
-///
-/// # Panics
-/// Panics if the two slices differ in length or QL fails to converge.
-pub fn tridiagonal_eigenvalues(diagonal: &[f64], off_diagonal: &[f64]) -> Vec<f64> {
-    let n = diagonal.len();
-    assert_eq!(
-        n,
-        off_diagonal.len(),
-        "tridiagonal_eigenvalues: shape mismatch"
-    );
-    let mut d = diagonal.to_vec();
-    if n <= 1 {
-        return d;
-    }
-    // Shift the couplings so e[i] joins i and i+1.
-    let mut e: Vec<f64> = (0..n)
-        .map(|i| if i + 1 < n { off_diagonal[i + 1] } else { 0.0 })
-        .collect();
-
-    for l in 0..n {
-        let mut iterations = 0;
-        loop {
-            // Find the first negligible off-diagonal at or after l.
-            let mut m = l;
-            while m + 1 < n {
-                let dd = d[m].abs() + d[m + 1].abs();
-                if e[m].abs() <= f64::EPSILON * dd {
-                    break;
-                }
-                m += 1;
-            }
-            if m == l {
-                break;
-            }
-            iterations += 1;
-            assert!(
-                iterations <= MAX_QL_ITERATIONS,
-                "tridiagonal_eigenvalues: QL failed to converge"
-            );
-
-            // Wilkinson shift from the leading 2×2.
-            let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-            let mut r = g.hypot(1.0);
-            let denom = g + if g >= 0.0 { r.abs() } else { -r.abs() };
-            g = d[m] - d[l] + e[l] / denom;
-            let (mut s, mut c) = (1.0, 1.0);
-            let mut p = 0.0;
-            let mut underflow = false;
-            for i in (l..m).rev() {
-                let mut f = s * e[i];
-                let b = c * e[i];
-                r = f.hypot(g);
-                e[i + 1] = r;
-                if r == 0.0 {
-                    // Recover from underflow by deflating here.
-                    d[i + 1] -= p;
-                    e[m] = 0.0;
-                    underflow = true;
-                    break;
-                }
-                s = f / r;
-                c = g / r;
-                g = d[i + 1] - p;
-                f = (d[i] - g) * s + 2.0 * c * b;
-                p = s * f;
-                d[i + 1] = g + p;
-                g = c * f - b;
-            }
-            if underflow {
-                continue;
-            }
-            d[l] -= p;
-            e[l] = g;
-            e[m] = 0.0;
-        }
-    }
-    d.sort_by(|a, b| a.partial_cmp(b).expect("eigenvalue comparison failed"));
-    d
 }
 
 /// Deterministic starting vector for inverse iteration: xorshift64*
@@ -241,13 +152,14 @@ impl TridiagLu {
 /// eigenvalues, by inverse iteration with cluster reorthogonalization
 /// (EISPACK `tinvit` / LAPACK `dstein` lineage).
 ///
-/// `targets` must be sorted ascending (as produced by
-/// [`tridiagonal_eigenvalues`]). Returns a flat `targets.len()×n`
-/// row-major buffer; row `r` is the eigenvector for `targets[r]`.
+/// `off_diagonal[i]` couples rows `i-1` and `i` (`off_diagonal[0]` is
+/// ignored). `targets` must be sorted ascending. Returns a flat
+/// `targets.len()×n` row-major buffer; row `r` is the eigenvector for
+/// `targets[r]`.
 /// Eigenvalues closer than `10⁻³‖T‖` are treated as one cluster: their
 /// shifts are perturbed apart and their vectors orthogonalized, which
 /// is what makes degenerate spectra safe.
-pub fn tridiagonal_eigenvectors(
+pub(crate) fn tridiagonal_eigenvectors(
     diagonal: &[f64],
     off_diagonal: &[f64],
     targets: &[f64],
@@ -346,9 +258,9 @@ pub fn tridiagonal_eigenvectors(
 }
 
 /// The `k` largest eigenpairs of a dense symmetric matrix via the
-/// k-targeted path (factored Householder, `tql1`, inverse iteration,
-/// blocked back-transform); `O(n³)/3 + O(n²k)` instead of the
-/// full solver's `O(n³)` with a much larger constant.
+/// k-targeted path (Householder reduction, eigenvalues-only QL, inverse
+/// iteration, blocked back-transform of `k` vectors); `O(n³)/3 +
+/// O(n²k)`.
 ///
 /// Agrees with [`crate::symmetric_eigen`]`.top_k(k)` up to column sign
 /// for well-separated eigenvalues; inside a degenerate cluster both
@@ -367,13 +279,19 @@ pub fn symmetric_eigen_topk(a: &Matrix, k: usize) -> TopEigen {
             eigenvectors: Matrix::zeros(n, 0),
         };
     }
-    let factored = tridiagonalize_factored(a);
-    let (vt, targets) = top_vectors_of(&factored, k);
+    let tri = tridiagonalize(a);
+    let mut all = tridiagonal_ql(&tri.diagonal, &tri.off_diagonal, None);
+    all.sort_by(|x, y| x.partial_cmp(y).expect("NaN eigenvalue"));
+    let targets = &all[n - k..];
+    // Rows ascend by eigenvalue.
+    let mut vt = tridiagonal_eigenvectors(&tri.diagonal, &tri.off_diagonal, targets);
+    tri.back_transform_rows(&mut vt, k);
     let mut vectors = Matrix::zeros(n, k);
     let flat = vectors.as_mut_slice();
     for j in 0..k {
         // Column j ↔ descending eigenvalue j ↔ ascending target k-1-j.
-        let row = &vt[(k - 1 - j) * n..(k - j) * n];
+        let row = &mut vt[(k - 1 - j) * n..(k - j) * n];
+        vector::normalize(row);
         for i in 0..n {
             flat[i * k + j] = row[i];
         }
@@ -384,25 +302,10 @@ pub fn symmetric_eigen_topk(a: &Matrix, k: usize) -> TopEigen {
     }
 }
 
-/// Shared tail of the k-targeted path: eigenvalues, inverse iteration,
-/// back-transform. Returns the `k×n` row buffer (rows ascending by
-/// eigenvalue) plus the ascending target eigenvalues.
-fn top_vectors_of(factored: &FactoredTridiagonal, k: usize) -> (Vec<f64>, Vec<f64>) {
-    let n = factored.order();
-    let all = tridiagonal_eigenvalues(&factored.diagonal, &factored.off_diagonal);
-    let targets = all[n - k..].to_vec();
-    let mut vt = tridiagonal_eigenvectors(&factored.diagonal, &factored.off_diagonal, &targets);
-    factored.back_transform_rows(&mut vt, k);
-    for row in vt.chunks_exact_mut(n) {
-        vector::normalize(row);
-    }
-    (vt, targets)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{symmetric_eigen, tridiagonalize};
+    use crate::symmetric_eigen;
 
     fn sym_from_seed(n: usize, seed: u64) -> Matrix {
         let mut state = seed.max(1);
@@ -424,37 +327,24 @@ mod tests {
     }
 
     #[test]
-    fn eigenvalues_match_full_ql() {
+    fn eigenvalues_match_a_known_spectrum() {
+        // A = H diag(λ) H with H = I − 2wwᵀ/‖w‖² orthogonal, so the
+        // spectrum is λ exactly, independent of the QL under test.
         for (n, seed) in [(1usize, 7u64), (2, 11), (5, 13), (16, 17), (33, 19)] {
-            let a = sym_from_seed(n, seed);
-            let full = symmetric_eigen(&a);
-            let mut reference = full.eigenvalues.clone();
-            reference.sort_by(|x, y| x.partial_cmp(y).unwrap());
-            let f = tridiagonalize_factored(&a);
-            let vals = tridiagonal_eigenvalues(&f.diagonal, &f.off_diagonal);
-            for (got, want) in vals.iter().zip(&reference) {
+            let w = sym_from_seed(n, seed).row(0).to_vec();
+            let w_sq = vector::dot(&w, &w);
+            let h = Matrix::from_fn(n, n, |i, j| {
+                f64::from(u8::from(i == j)) - 2.0 * w[i] * w[j] / w_sq
+            });
+            let lambda: Vec<f64> = (0..n).map(|i| 0.5 * i as f64 - 3.0).collect();
+            let a = Matrix::from_fn(n, n, |i, j| {
+                (0..n).map(|q| h[(i, q)] * lambda[q] * h[(q, j)]).sum()
+            });
+            let got = symmetric_eigen_topk(&a, n).eigenvalues;
+            for (got, want) in got.iter().zip(lambda.iter().rev()) {
                 assert!(
-                    (got - want).abs() < 1e-9 * (1.0 + want.abs()),
+                    (got - want).abs() < 1e-12,
                     "n={n}: eigenvalue mismatch {got} vs {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn factored_reduction_matches_accumulating_reduction() {
-        for (n, seed) in [(2usize, 3u64), (4, 5), (9, 23), (24, 29)] {
-            let a = sym_from_seed(n, seed);
-            let full = tridiagonalize(&a);
-            let fact = tridiagonalize_factored(&a);
-            for i in 0..n {
-                assert!(
-                    (full.diagonal[i] - fact.diagonal[i]).abs() < 1e-10,
-                    "n={n}: diagonal mismatch at {i}"
-                );
-                assert!(
-                    (full.off_diagonal[i] - fact.off_diagonal[i]).abs() < 1e-10,
-                    "n={n}: off-diagonal mismatch at {i}"
                 );
             }
         }

@@ -20,7 +20,6 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::eigen::tridiagonal_eigen;
 use crate::operator::MatVec;
-use crate::tridiag::Tridiagonal;
 use crate::vector;
 use crate::Matrix;
 
@@ -172,12 +171,7 @@ fn ritz_pairs(basis: &[Vec<f64>], alphas: &[f64], betas: &[f64], k: usize) -> (V
     // off-diagonal entry i couples rows i-1 and i).
     let mut off = vec![0.0; dim];
     off[1..dim].copy_from_slice(&betas[..dim - 1]);
-    let tri = Tridiagonal {
-        diagonal: alphas.to_vec(),
-        off_diagonal: off,
-        q: Matrix::identity(dim),
-    };
-    let small = tridiagonal_eigen(&tri);
+    let small = tridiagonal_eigen(alphas, &off);
     let (values, small_vecs) = small.top_k(k);
 
     // Ritz vectors: V = Qᵀ · s  (basis rows are the Lanczos vectors).

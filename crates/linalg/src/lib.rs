@@ -8,21 +8,23 @@
 //! * [`Matrix`] — a row-major dense `f64` matrix with the usual algebra.
 //! * [`CsrMatrix`] — compressed sparse row storage used by the PSC
 //!   baseline's t-nearest-neighbour similarity matrices.
-//! * [`tridiagonalize`] — Householder reduction of a symmetric matrix to
-//!   tridiagonal form (the transformation the paper describes ahead of QR).
-//! * [`SymmetricEigen`] — full symmetric eigendecomposition via implicit
-//!   QL with Wilkinson shifts on the tridiagonal form.
-//! * [`symmetric_eigen_topk`] — the `k` leading eigenpairs without the
-//!   `O(n³)` accumulation: factored reduction, eigenvalues-only QL,
-//!   inverse iteration, blocked back-transform.
+//! * [`SymmetricEigen`] — full symmetric eigendecomposition: Householder
+//!   reduction to tridiagonal form (the transformation the paper
+//!   describes ahead of QR), implicit QL with Wilkinson shifts, and a
+//!   blocked back-transform of all `n` eigenvectors.
+//! * [`symmetric_eigen_topk`] — the `k` leading eigenpairs from the same
+//!   reduction: eigenvalues-only QL, inverse iteration on the
+//!   tridiagonal, and a back-transform of just those `k` vectors.
 //! * [`lanczos`](fn@lanczos) — Lanczos iteration with full
 //!   reorthogonalization for the leading eigenpairs of any [`MatVec`]
 //!   operator (PARPACK substitute).
 //! * [`qr`](fn@qr) — Householder QR, the NYST baseline's
 //!   orthonormalization.
 //!
-//! Only what the spectral pipelines call lives here: there is no
-//! general-purpose solver (Cholesky, SVD) on the paper's path.
+//! Every dense eigensolve and the Lanczos Ritz step share one
+//! Householder reduction and one QL loop, both crate-private. Only what
+//! the spectral pipelines call lives here: there is no general-purpose
+//! solver (Cholesky, SVD) on the paper's path.
 //!
 //! Everything is `f64` and deterministic within a kernel backend: the
 //! hot gemm/dot/axpy primitives dispatch once per process to a SIMD
@@ -51,14 +53,12 @@ pub mod points;
 pub mod qr;
 pub mod simd;
 pub mod sparse;
-pub mod tridiag;
+mod tridiag;
 pub mod vector;
 
 pub use dense::Matrix;
-pub use eigen::{symmetric_eigen, tridiagonal_eigen, SymmetricEigen};
-pub use eigen_k::{
-    symmetric_eigen_topk, tridiagonal_eigenvalues, tridiagonal_eigenvectors, TopEigen,
-};
+pub use eigen::{symmetric_eigen, SymmetricEigen};
+pub use eigen_k::{symmetric_eigen_topk, TopEigen};
 pub use gemm::{abt_into, pairwise_sq_dists, row_sq_norms, row_sq_norms_flat, sq_dists_into};
 pub use lanczos::{lanczos, lanczos_block, LanczosOptions, LanczosResult};
 pub use operator::MatVec;
@@ -66,4 +66,3 @@ pub use points::{FlatPoints, FlatPointsView, PointsView};
 pub use qr::{qr, QrDecomposition};
 pub use simd::KernelBackend;
 pub use sparse::{CooBuilder, CsrMatrix};
-pub use tridiag::{tridiagonalize, tridiagonalize_factored, FactoredTridiagonal, Tridiagonal};

@@ -44,53 +44,23 @@ pub trait MatVec: Sync {
     }
 }
 
-/// A diagonally-shifted operator `A + shift·I`, useful for mapping the
-/// smallest eigenvalues of a Laplacian onto the largest of a shifted one.
-pub struct Shifted<'a, A: MatVec> {
-    inner: &'a A,
-    shift: f64,
-}
-
-impl<'a, A: MatVec> Shifted<'a, A> {
-    /// Wrap `inner` as `inner + shift·I`.
-    pub fn new(inner: &'a A, shift: f64) -> Self {
-        Self { inner, shift }
-    }
-}
-
-impl<A: MatVec> MatVec for Shifted<'_, A> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn matvec(&self, x: &[f64], y: &mut [f64]) {
-        self.inner.matvec(x, y);
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += self.shift * xi;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Matrix;
-
-    #[test]
-    fn shifted_adds_diagonal() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
-        let s = Shifted::new(&a, 3.0);
-        let y = s.apply(&[1.0, 0.0]);
-        assert_eq!(y, vec![4.0, 2.0]);
-    }
+    use crate::{CooBuilder, Matrix};
 
     #[test]
     fn matvec_many_default_stacks_matvec_columns() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let s = Shifted::new(&a, 1.0);
+        // CsrMatrix keeps the default matvec_many. A = [[2, 2], [3, 5]].
+        let mut b = CooBuilder::new(2, 2);
+        b.push(0, 0, 2.0);
+        b.push(0, 1, 2.0);
+        b.push(1, 0, 3.0);
+        b.push(1, 1, 5.0);
+        let a = b.build();
         // Vectors e₀ and (1, 1), back to back.
         let mut y = vec![0.0; 4];
-        s.matvec_many(&[1.0, 0.0, 1.0, 1.0], 2, &mut y);
+        a.matvec_many(&[1.0, 0.0, 1.0, 1.0], 2, &mut y);
         assert_eq!(y, vec![2.0, 4.0, 3.0, 8.0]);
     }
 

@@ -2,178 +2,33 @@
 //!
 //! This is the transformation the DASC paper invokes before QR/QL
 //! iteration ("we transform Lᵢ into a symmetric tridiagonal matrix Aᵢ").
-//! The implementation follows the classic EISPACK `tred2` routine,
-//! accumulating the orthogonal similarity transform `Q` so that
-//! `A = Q · T · Qᵀ`.
+//! The reduction follows EISPACK `tred1`: it keeps the Householder
+//! reflectors in factored form, and [`Tridiagonal::back_transform_rows`]
+//! applies `Q` (with `A = Q · T · Qᵀ`) to exactly the vectors a caller
+//! needs, all `n` of them for a full decomposition or `k ≪ n` for the
+//! k-targeted one.
 
 use crate::vector;
 use crate::Matrix;
 
-/// Reflectors per compact-WY block in [`FactoredTridiagonal::back_transform_rows`].
+/// Reflectors per compact-WY block in [`Tridiagonal::back_transform_rows`].
 const BACK_TRANSFORM_BLOCK: usize = 32;
 
-/// A symmetric tridiagonal matrix together with the accumulated
-/// orthogonal transform that produced it.
-#[derive(Clone, Debug)]
-pub struct Tridiagonal {
-    /// Diagonal entries `d[0..n]`.
-    pub diagonal: Vec<f64>,
-    /// Sub/super-diagonal entries; `off_diagonal[i]` couples `i-1` and `i`
-    /// (`off_diagonal[0]` is unused and kept at `0.0`, matching EISPACK).
-    pub off_diagonal: Vec<f64>,
-    /// Accumulated orthogonal matrix `Q` with `A = Q T Qᵀ`.
-    pub q: Matrix,
-}
-
-impl Tridiagonal {
-    /// Order of the matrix.
-    pub fn order(&self) -> usize {
-        self.diagonal.len()
-    }
-
-    /// Reconstruct the dense tridiagonal matrix `T` (for tests/debugging).
-    pub fn to_dense(&self) -> Matrix {
-        let n = self.order();
-        let mut t = Matrix::zeros(n, n);
-        for i in 0..n {
-            t[(i, i)] = self.diagonal[i];
-            if i > 0 {
-                t[(i, i - 1)] = self.off_diagonal[i];
-                t[(i - 1, i)] = self.off_diagonal[i];
-            }
-        }
-        t
-    }
-}
-
-/// Householder-tridiagonalize a symmetric matrix (EISPACK `tred2`).
+/// A symmetric tridiagonal matrix `T` together with the Householder
+/// reflectors that produced it, kept in factored form instead of as an
+/// accumulated `Q`.
 ///
-/// # Panics
-/// Panics if `a` is not square. Symmetry is the caller's responsibility;
-/// only the lower triangle is read.
-pub fn tridiagonalize(a: &Matrix) -> Tridiagonal {
-    assert!(a.is_square(), "tridiagonalize: matrix must be square");
-    let n = a.nrows();
-    let mut z = a.clone();
-    let mut d = vec![0.0; n];
-    let mut e = vec![0.0; n];
-
-    if n == 0 {
-        return Tridiagonal {
-            diagonal: d,
-            off_diagonal: e,
-            q: z,
-        };
-    }
-    if n == 1 {
-        d[0] = z[(0, 0)];
-        z[(0, 0)] = 1.0;
-        return Tridiagonal {
-            diagonal: d,
-            off_diagonal: e,
-            q: z,
-        };
-    }
-
-    // Householder reduction, working from the last row upwards.
-    for i in (1..n).rev() {
-        let l = i - 1;
-        let mut h = 0.0;
-        let mut scale = 0.0;
-        if l > 0 {
-            for k in 0..=l {
-                scale += z[(i, k)].abs();
-            }
-            if scale == 0.0 {
-                e[i] = z[(i, l)];
-            } else {
-                for k in 0..=l {
-                    z[(i, k)] /= scale;
-                    h += z[(i, k)] * z[(i, k)];
-                }
-                let mut f = z[(i, l)];
-                let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
-                e[i] = scale * g;
-                h -= f * g;
-                z[(i, l)] = f - g;
-                f = 0.0;
-                for j in 0..=l {
-                    z[(j, i)] = z[(i, j)] / h;
-                    let mut g = 0.0;
-                    for k in 0..=j {
-                        g += z[(j, k)] * z[(i, k)];
-                    }
-                    for k in (j + 1)..=l {
-                        g += z[(k, j)] * z[(i, k)];
-                    }
-                    e[j] = g / h;
-                    f += e[j] * z[(i, j)];
-                }
-                let hh = f / (h + h);
-                for j in 0..=l {
-                    let f = z[(i, j)];
-                    let g = e[j] - hh * f;
-                    e[j] = g;
-                    for k in 0..=j {
-                        let delta = f * e[k] + g * z[(i, k)];
-                        z[(j, k)] -= delta;
-                    }
-                }
-            }
-        } else {
-            e[i] = z[(i, l)];
-        }
-        d[i] = h;
-    }
-
-    // Accumulate the transformation matrix.
-    d[0] = 0.0;
-    e[0] = 0.0;
-    for i in 0..n {
-        if d[i] != 0.0 {
-            for j in 0..i {
-                let mut g = 0.0;
-                for k in 0..i {
-                    g += z[(i, k)] * z[(k, j)];
-                }
-                for k in 0..i {
-                    let delta = g * z[(k, i)];
-                    z[(k, j)] -= delta;
-                }
-            }
-        }
-        d[i] = z[(i, i)];
-        z[(i, i)] = 1.0;
-        for j in 0..i {
-            z[(j, i)] = 0.0;
-            z[(i, j)] = 0.0;
-        }
-    }
-
-    Tridiagonal {
-        diagonal: d,
-        off_diagonal: e,
-        q: z,
-    }
-}
-
-/// A symmetric tridiagonal reduction that keeps the Householder
-/// reflectors in factored form instead of accumulating `Q`.
-///
-/// `tridiagonalize` spends two thirds of its flops building the dense
-/// `n×n` transform even when the caller only ever applies it to `k ≪ n`
-/// vectors. This variant stores the reflector vectors where the
-/// reduction left them (in the rows of the working copy) plus the `h`
-/// normalizers, and applies the transform on demand through the blocked
-/// compact-WY product in [`Self::back_transform_rows`] — `O(n²k)` work
-/// instead of `O(n³)`.
+/// The reflector vectors stay where the reduction left them (in the
+/// rows of the working copy) next to their `h` normalizers;
+/// [`Self::back_transform_rows`] applies the transform through the
+/// blocked compact-WY product, `O(n²k)` work for `k` vectors.
 #[derive(Clone, Debug)]
-pub struct FactoredTridiagonal {
+pub(crate) struct Tridiagonal {
     /// Diagonal entries `d[0..n]`.
-    pub diagonal: Vec<f64>,
+    pub(crate) diagonal: Vec<f64>,
     /// Sub/super-diagonal entries; `off_diagonal[i]` couples `i-1` and
     /// `i` (`off_diagonal[0]` is unused and kept at `0.0`).
-    pub off_diagonal: Vec<f64>,
+    pub(crate) off_diagonal: Vec<f64>,
     /// Row `i` holds the scaled Householder vector `u_i` in columns
     /// `0..i`; `P_i = I − u_i u_iᵀ / h[i]` and `Q = P_{n-1} ⋯ P_1`.
     reflectors: Vec<f64>,
@@ -182,9 +37,9 @@ pub struct FactoredTridiagonal {
     n: usize,
 }
 
-impl FactoredTridiagonal {
+impl Tridiagonal {
     /// Order of the matrix.
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.n
     }
 
@@ -197,7 +52,7 @@ impl FactoredTridiagonal {
     /// blocked into compact-WY factors `I − U Tᵀ Uᵀ` so the panel dots
     /// run through the `gemm` micro-kernel instead of one scalar axpy
     /// per reflector per vector.
-    pub fn back_transform_rows(&self, vt: &mut [f64], k: usize) {
+    pub(crate) fn back_transform_rows(&self, vt: &mut [f64], k: usize) {
         let n = self.n;
         assert_eq!(
             vt.len(),
@@ -306,22 +161,18 @@ impl FactoredTridiagonal {
     }
 }
 
-/// Householder-tridiagonalize a symmetric matrix without accumulating
-/// `Q` (EISPACK `tred1` lineage; same reduction as [`tridiagonalize`]
-/// minus the `O(n³)` accumulation pass).
+/// Householder-tridiagonalize a symmetric matrix (EISPACK `tred1`),
+/// keeping the reflectors for [`Tridiagonal::back_transform_rows`].
 ///
-/// The produced `diagonal`/`off_diagonal` agree with [`tridiagonalize`]
-/// up to floating-point summation order — the inner products here run
-/// through the micro-kernel's unrolled dot instead of a serial chain.
+/// The inner products run through the micro-kernel's unrolled dot and
+/// the rank-2 updates through `axpy`, so the reduction dispatches to
+/// the process kernel backend.
 ///
 /// # Panics
 /// Panics if `a` is not square. Symmetry is the caller's responsibility;
 /// only the lower triangle is read.
-pub fn tridiagonalize_factored(a: &Matrix) -> FactoredTridiagonal {
-    assert!(
-        a.is_square(),
-        "tridiagonalize_factored: matrix must be square"
-    );
+pub(crate) fn tridiagonalize(a: &Matrix) -> Tridiagonal {
+    assert!(a.is_square(), "tridiagonalize: matrix must be square");
     let n = a.nrows();
     let mut z: Vec<f64> = a.as_slice().to_vec();
     let mut d = vec![0.0; n];
@@ -392,7 +243,7 @@ pub fn tridiagonalize_factored(a: &Matrix) -> FactoredTridiagonal {
         e[0] = 0.0;
     }
 
-    FactoredTridiagonal {
+    Tridiagonal {
         diagonal: d,
         off_diagonal: e,
         reflectors: z,
@@ -405,63 +256,80 @@ pub fn tridiagonalize_factored(a: &Matrix) -> FactoredTridiagonal {
 mod tests {
     use super::*;
 
-    fn orthogonality_error(q: &Matrix) -> f64 {
-        q.transpose()
-            .matmul(q)
-            .max_abs_diff(&Matrix::identity(q.nrows()))
+    /// `Q` taken from back-transforming the identity: row `j` becomes
+    /// `Q eⱼ`, so the transform is the transpose of the result.
+    fn transform_of(t: &Tridiagonal) -> Matrix {
+        let n = t.order();
+        let mut rows = Matrix::identity(n);
+        t.back_transform_rows(rows.as_mut_slice(), n);
+        rows.transpose()
+    }
+
+    fn dense(t: &Tridiagonal) -> Matrix {
+        let n = t.order();
+        Matrix::from_fn(n, n, |i, j| match i.abs_diff(j) {
+            0 => t.diagonal[i],
+            1 => t.off_diagonal[i.max(j)],
+            _ => 0.0,
+        })
+    }
+
+    /// Reduce `a` and check `Q T Qᵀ = A` and `QᵀQ = I`.
+    fn reduce_checked(a: &Matrix, tol: f64) -> Tridiagonal {
+        let t = tridiagonalize(a);
+        let q = transform_of(&t);
+        let qtq = q.transpose().matmul(&q);
+        assert!(
+            qtq.max_abs_diff(&Matrix::identity(a.nrows())) < tol,
+            "Q not orthogonal"
+        );
+        let rec = q.matmul(&dense(&t)).matmul(&q.transpose());
+        assert!(rec.max_abs_diff(a) < tol, "Q T Qᵀ != A");
+        t
     }
 
     #[test]
     fn empty_and_singleton() {
         let t = tridiagonalize(&Matrix::zeros(0, 0));
         assert_eq!(t.order(), 0);
-        let t = tridiagonalize(&Matrix::from_rows(&[&[7.0]]));
+        t.back_transform_rows(&mut [], 0);
+        let t = reduce_checked(&Matrix::from_rows(&[&[7.0]]), 1e-12);
         assert_eq!(t.diagonal, vec![7.0]);
-        assert_eq!(t.q[(0, 0)], 1.0);
+        assert_eq!(transform_of(&t)[(0, 0)], 1.0);
     }
 
     #[test]
     fn already_tridiagonal_is_preserved_up_to_sign() {
         let a = Matrix::from_rows(&[&[2.0, 1.0, 0.0], &[1.0, 2.0, 1.0], &[0.0, 1.0, 2.0]]);
-        let t = tridiagonalize(&a);
-        // Reconstruction must hold regardless of sign conventions.
-        let rec = t.q.matmul(&t.to_dense()).matmul(&t.q.transpose());
-        assert!(rec.max_abs_diff(&a) < 1e-10);
+        let t = reduce_checked(&a, 1e-10);
+        for i in 0..3 {
+            assert!((t.diagonal[i] - 2.0).abs() < 1e-12, "diagonal {i}");
+        }
+        for i in 1..3 {
+            assert!(
+                (t.off_diagonal[i].abs() - 1.0).abs() < 1e-12,
+                "coupling {i}"
+            );
+        }
     }
 
     #[test]
-    fn reconstruction_and_orthogonality_4x4() {
+    fn reconstruction_and_orthogonality() {
         let a = Matrix::from_rows(&[
             &[4.0, 1.0, -2.0, 2.0],
             &[1.0, 2.0, 0.0, 1.0],
             &[-2.0, 0.0, 3.0, -2.0],
             &[2.0, 1.0, -2.0, -1.0],
         ]);
-        let t = tridiagonalize(&a);
-        assert!(orthogonality_error(&t.q) < 1e-10, "Q not orthogonal");
-        let rec = t.q.matmul(&t.to_dense()).matmul(&t.q.transpose());
-        assert!(rec.max_abs_diff(&a) < 1e-10, "Q T Q^T != A");
-    }
-
-    #[test]
-    fn t_is_tridiagonal() {
+        reduce_checked(&a, 1e-10);
         let a = Matrix::from_fn(6, 6, |i, j| 1.0 / (1.0 + (i as f64 - j as f64).abs()));
-        let t = tridiagonalize(&a);
-        let dense = t.to_dense();
-        for i in 0..6 {
-            for j in 0..6 {
-                if (i as i64 - j as i64).abs() > 1 {
-                    assert_eq!(dense[(i, j)], 0.0);
-                }
-            }
-        }
+        reduce_checked(&a, 1e-10);
     }
 
     #[test]
     fn zero_matrix_reduces_to_zero() {
-        let t = tridiagonalize(&Matrix::zeros(5, 5));
+        let t = reduce_checked(&Matrix::zeros(5, 5), 1e-12);
         assert!(t.diagonal.iter().all(|&v| v == 0.0));
         assert!(t.off_diagonal.iter().all(|&v| v == 0.0));
-        assert!(orthogonality_error(&t.q) < 1e-12);
     }
 }

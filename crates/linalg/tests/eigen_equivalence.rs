@@ -121,7 +121,7 @@ fn matrix_with_spectrum(spectrum: &[f64]) -> Matrix {
         let w = ((j * 37 + i * 61 + 13) % 97) as f64 / 97.0 - 0.5;
         0.5 * (v + w)
     });
-    let q = symmetric_eigen(&seed).eigenvectors_full();
+    let (_, q) = symmetric_eigen(&seed).top_k(n);
     let mut d = Matrix::zeros(n, n);
     for (i, &lam) in spectrum.iter().enumerate() {
         d[(i, i)] = lam;
