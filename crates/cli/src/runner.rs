@@ -306,7 +306,8 @@ fn cluster(
                 // Self-tuning: per-point bandwidths (r = 7), so --sigma is
                 // ignored by construction.
                 let s = local_scaling_similarity(&points, 7);
-                let c = SpectralClustering::new(SpectralConfig::new(k)).run_on_similarity(&s);
+                let (c, _) =
+                    SpectralClustering::new(SpectralConfig::new(k)).run_on_similarity_owned(s);
                 (
                     c.assignments,
                     "stsc: local scaling (r = 7), full similarity matrix".to_string(),

@@ -1,15 +1,16 @@
-//! Shared spectral-embedding steps (Ng–Jordan–Weiss).
-//!
-//! All four algorithms in this crate go through the same pipeline tail:
-//! normalized Laplacian `L = D^{−1/2} S D^{−1/2}` (Eq. 2), leading
-//! eigenvectors, row normalization to the unit sphere, K-means.
+//! The spectral tail (Ng–Jordan–Weiss), written once: the normalized
+//! Laplacian `L = D^{−1/2} S D^{−1/2}` (Eq. 2), its leading
+//! eigenvectors, row normalization to the unit sphere, K-means. SC (and
+//! so every DASC bucket) runs it on a dense `S`; PSC on each component
+//! of its CSR t-NN graph, whose one eigen route is Lanczos; NYST builds
+//! its own approximate embedding and runs only the last two steps.
 //!
 //! The hot path works in place: the similarity matrix is scaled into
 //! the Laplacian without a second `n×n` allocation, the embedding is
-//! row-normalized without cloning, and the eigensolve routes through
-//! one of three paths ([`EigenPath`]) — the full dense solver for tiny
-//! or nearly-full spectra, Lanczos (the paper's solver, Sec. 3.2)
-//! wherever its Krylov block is small next to the order, and the
+//! row-normalized without cloning, and the dense eigensolve routes
+//! through one of three paths ([`EigenPath`]) — the full dense solver
+//! for tiny or nearly-full spectra, Lanczos (the paper's solver, Sec.
+//! 3.2) wherever its Krylov block is small next to the order, and the
 //! k-targeted dense solver (`symmetric_eigen_topk`, `O(n³)` for the
 //! one-off reduction) in between.
 //!
@@ -56,8 +57,11 @@
 //! dense-k.
 
 use dasc_linalg::{
-    lanczos, lanczos_block, symmetric_eigen, symmetric_eigen_topk, LanczosOptions, Matrix,
+    lanczos, lanczos_block, symmetric_eigen, symmetric_eigen_topk, CsrMatrix, FlatPoints,
+    LanczosOptions, MatVec, Matrix,
 };
+
+use crate::kmeans::{KMeans, KMeansConfig};
 
 /// The resolved eigensolver route for one embedding: the choice
 /// [`resolve_eigen_path`] made, or the one a caller of
@@ -120,12 +124,21 @@ pub fn resolve_eigen_path(n: usize, k: usize, lanczos_threshold: usize) -> Eigen
     }
 }
 
+/// `1/√d` per degree, and `0` for an isolated vertex so that its row and
+/// column stay zero: the one degree rule of both Laplacians.
+fn inv_sqrt_degrees(degrees: &[f64]) -> Vec<f64> {
+    degrees
+        .iter()
+        .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
+        .collect()
+}
+
 /// Scale a dense similarity matrix into the symmetric normalized
 /// Laplacian `L = D^{−1/2} S D^{−1/2}` (Eq. 2) **in place**, returning
 /// the degree vector.
 ///
-/// Isolated vertices (zero degree) keep zero rows, matching the sparse
-/// convention.
+/// Isolated vertices (zero degree) keep zero rows, as in the sparse
+/// Laplacian.
 ///
 /// # Panics
 /// Panics if `s` is not square.
@@ -133,10 +146,7 @@ pub fn normalized_laplacian_inplace(s: &mut Matrix) -> Vec<f64> {
     assert!(s.is_square(), "laplacian: matrix must be square");
     let n = s.nrows();
     let degrees = s.row_sums();
-    let inv_sqrt: Vec<f64> = degrees
-        .iter()
-        .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-        .collect();
+    let inv_sqrt = inv_sqrt_degrees(&degrees);
     for (i, row) in s.as_mut_slice().chunks_exact_mut(n).enumerate() {
         let di = inv_sqrt[i];
         for (v, &dj) in row.iter_mut().zip(&inv_sqrt) {
@@ -146,12 +156,11 @@ pub fn normalized_laplacian_inplace(s: &mut Matrix) -> Vec<f64> {
     degrees
 }
 
-/// Out-of-place [`normalized_laplacian_inplace`] for callers that need
-/// to keep the similarity matrix.
-pub fn normalized_laplacian(s: &Matrix) -> Matrix {
-    let mut l = s.clone();
-    normalized_laplacian_inplace(&mut l);
-    l
+/// [`normalized_laplacian_inplace`] for a sparse similarity: scales the
+/// stored entries of `s` in place.
+pub(crate) fn sparse_normalized_laplacian_inplace(s: &mut CsrMatrix) {
+    let inv_sqrt = inv_sqrt_degrees(&s.row_sums());
+    s.diag_scale(&inv_sqrt, &inv_sqrt);
 }
 
 /// Top-`k` eigenvectors of a dense symmetric matrix, stacked as
@@ -162,21 +171,30 @@ pub fn top_eigenvectors_with(l: &Matrix, k: usize, path: EigenPath, seed: u64) -
     match path {
         EigenPath::DenseFull => symmetric_eigen(l).top_k(k).1,
         EigenPath::DenseK => symmetric_eigen_topk(l, k).eigenvectors,
-        EigenPath::Lanczos => {
-            let mut opts = LanczosOptions::top(k);
-            opts.seed = seed;
-            lanczos(l, &opts).eigenvectors
-        }
+        EigenPath::Lanczos => lanczos_top_eigenvectors(l, k, seed),
     }
 }
 
-/// Top-`k` eigenvectors with the automatic path resolution of
-/// [`resolve_eigen_path`] (the measured dense-k/Lanczos crossover).
-pub fn top_eigenvectors(l: &Matrix, k: usize, lanczos_threshold: usize, seed: u64) -> Matrix {
-    let n = l.nrows();
-    let k = k.min(n).max(1);
-    let path = resolve_eigen_path(n, k, lanczos_threshold);
-    top_eigenvectors_with(l, k, path, seed)
+/// Top-`k` eigenvectors of any symmetric operator by Lanczos, stacked as
+/// columns: the dense [`EigenPath::Lanczos`] route, and the only route
+/// for a [`CsrMatrix`].
+pub(crate) fn lanczos_top_eigenvectors<A: MatVec>(a: &A, k: usize, seed: u64) -> Matrix {
+    let mut opts = LanczosOptions::top(k);
+    opts.seed = seed;
+    lanczos(a, &opts).eigenvectors
+}
+
+/// Row-normalize an `n × k` embedding and cluster its rows into `k`
+/// groups (`k` its column count) with K-means seeded by `seed`: the
+/// tail's last two steps. Returns one label per row.
+pub(crate) fn cluster_embedding(mut v: Matrix, seed: u64) -> Vec<usize> {
+    let k = v.ncols();
+    row_normalize(&mut v);
+    // The embedding is already row-major `n × k`; hand it to k-means as
+    // a flat buffer instead of re-nesting it into Vec<Vec<f64>>.
+    KMeans::new(KMeansConfig::new(k).seed(seed))
+        .run_flat(&FlatPoints::from_flat(v.into_vec(), k))
+        .assignments
 }
 
 /// Row-normalize an embedding to unit length **in place**
@@ -202,30 +220,30 @@ mod tests {
     use super::*;
     use dasc_linalg::symmetric_eigen;
 
+    /// The normalized Laplacian of `s`, keeping `s`.
+    fn laplacian(s: &Matrix) -> Matrix {
+        let mut l = s.clone();
+        normalized_laplacian_inplace(&mut l);
+        l
+    }
+
     #[test]
     fn laplacian_of_uniform_similarity() {
         // S = all-ones (n=4): degrees 4, L = S/4 with eigenvalue 1.
         let s = Matrix::from_fn(4, 4, |_, _| 1.0);
-        let l = normalized_laplacian(&s);
+        let l = laplacian(&s);
         assert!((l[(0, 0)] - 0.25).abs() < 1e-12);
         let eig = symmetric_eigen(&l);
         assert!((eig.eigenvalues[3] - 1.0).abs() < 1e-10);
     }
 
     #[test]
-    fn inplace_laplacian_matches_out_of_place_and_returns_degrees() {
+    fn inplace_laplacian_returns_degrees() {
         let s = Matrix::from_rows(&[&[1.0, 0.5, 0.1], &[0.5, 1.0, 0.2], &[0.1, 0.2, 1.0]]);
-        let l = normalized_laplacian(&s);
-        let mut inplace = s.clone();
-        let degrees = normalized_laplacian_inplace(&mut inplace);
-        assert_eq!(
-            l.as_slice(),
-            inplace.as_slice(),
-            "bitwise equality expected"
-        );
-        for (got, want) in degrees.iter().zip(s.row_sums()) {
-            assert_eq!(*got, want);
-        }
+        let mut l = s.clone();
+        assert_eq!(normalized_laplacian_inplace(&mut l), s.row_sums());
+        // Degrees 1.6 and 1.3: L₀₂ = S₀₂ / √(d₀ d₂).
+        assert!((l[(0, 2)] - 0.1 / (1.6f64 * 1.3).sqrt()).abs() < 1e-15);
     }
 
     #[test]
@@ -233,7 +251,7 @@ mod tests {
         // For any similarity matrix with non-negative entries, the
         // normalized Laplacian's spectrum lies in [-1, 1].
         let s = Matrix::from_rows(&[&[1.0, 0.5, 0.1], &[0.5, 1.0, 0.2], &[0.1, 0.2, 1.0]]);
-        let l = normalized_laplacian(&s);
+        let l = laplacian(&s);
         let eig = symmetric_eigen(&l);
         for &v in &eig.eigenvalues {
             assert!((-1.0 - 1e-10..=1.0 + 1e-10).contains(&v));
@@ -242,11 +260,23 @@ mod tests {
 
     #[test]
     fn laplacian_handles_isolated_vertex() {
-        let s = Matrix::from_rows(&[&[0.0, 0.0], &[0.0, 1.0]]);
-        let l = normalized_laplacian(&s);
-        assert_eq!(l[(0, 0)], 0.0);
-        assert_eq!(l[(0, 1)], 0.0);
-        assert!((l[(1, 1)] - 1.0).abs() < 1e-12);
+        // Vertex 0 is isolated: the dense and sparse Laplacians share
+        // one degree rule, so both keep its row at zero and agree.
+        let s = Matrix::from_rows(&[&[0.0, 0.0, 0.0], &[0.0, 1.0, 0.5], &[0.0, 0.5, 2.0]]);
+        let dense = laplacian(&s);
+        assert_eq!(dense.row(0), &[0.0, 0.0, 0.0]);
+        assert!((dense[(1, 1)] - 1.0 / 1.5).abs() < 1e-12);
+        let mut b = dasc_linalg::CooBuilder::new(3, 3);
+        for (i, j, v) in [(1, 1, 1.0), (1, 2, 0.5), (2, 1, 0.5), (2, 2, 2.0)] {
+            b.push(i, j, v);
+        }
+        let mut sparse = b.build();
+        sparse_normalized_laplacian_inplace(&mut sparse);
+        for i in 0..3 {
+            for j in 0..3 {
+                assert!((sparse.get(i, j) - dense[(i, j)]).abs() < 1e-15);
+            }
+        }
     }
 
     #[test]
@@ -259,8 +289,8 @@ mod tests {
                 s[(i + 2, j + 2)] = 1.0;
             }
         }
-        let l = normalized_laplacian(&s);
-        let mut y = top_eigenvectors(&l, 2, 1000, 0);
+        let l = laplacian(&s);
+        let mut y = top_eigenvectors_with(&l, 2, EigenPath::DenseFull, 0);
         row_normalize(&mut y);
         // Rows 0,1 identical; rows 2,3 identical; the two groups differ.
         let r0 = y.row(0).to_vec();
@@ -324,7 +354,7 @@ mod tests {
         });
         // Symmetrize the noise term.
         let s = Matrix::from_fn(n, n, |i, j| 0.5 * (s[(i, j)] + s[(j, i)]));
-        let l = normalized_laplacian(&s);
+        let l = laplacian(&s);
         let full = top_eigenvectors_with(&l, 2, EigenPath::DenseFull, 7);
         let dk = top_eigenvectors_with(&l, 2, EigenPath::DenseK, 7);
         let lz = top_eigenvectors_with(&l, 2, EigenPath::Lanczos, 7);
@@ -347,8 +377,8 @@ mod tests {
         let s = Matrix::from_fn(30, 30, |i, j| {
             (-((i as f64 - j as f64) / 5.0).powi(2)).exp()
         });
-        let l = normalized_laplacian(&s);
-        let dense = top_eigenvectors(&l, 3, 1000, 7);
+        let l = laplacian(&s);
+        let dense = top_eigenvectors_with(&l, 3, EigenPath::DenseFull, 7);
         let lz = top_eigenvectors_with(&l, 3, EigenPath::Lanczos, 7);
         // Eigenvectors match up to sign: compare absolute inner products.
         for c in 0..3 {

@@ -34,47 +34,37 @@ const ASSIGN_TILE_ROWS: usize = 128;
 /// sequential branch is bit-identical to the parallel one.
 pub const PARALLEL_MIN_POINTS: usize = 256;
 
+/// Lloyd iterations per restart at most.
+const MAX_ITERS: usize = 100;
+
+/// A restart stops once the centroids move this little in total.
+const TOL: f64 = 1e-6;
+
+/// Independent k-means++ restarts; the run with the lowest inertia wins.
+/// K-means on spectral embeddings is seed-sensitive, so restarts are
+/// what keep the SC/DASC comparison about the approximation rather than
+/// seeding luck.
+const RESTARTS: u64 = 8;
+
 /// K-means configuration.
 #[derive(Clone, Debug)]
 pub struct KMeansConfig {
     /// Number of clusters `K`.
     pub k: usize,
-    /// Maximum Lloyd iterations.
-    pub max_iters: usize,
-    /// Convergence tolerance on total centroid movement.
-    pub tol: f64,
     /// RNG seed for k-means++ seeding.
     pub seed: u64,
-    /// Independent restarts; the run with the lowest inertia wins.
-    /// K-means on spectral embeddings is seed-sensitive, so restarts are
-    /// what keep the SC/DASC comparison about the approximation rather
-    /// than seeding luck.
-    pub restarts: usize,
 }
 
 impl KMeansConfig {
-    /// Defaults: 100 iterations, 1e-6 tolerance, 8 restarts, fixed seed.
+    /// `k` clusters with a fixed default seed.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "k-means needs k >= 1");
-        Self {
-            k,
-            max_iters: 100,
-            tol: 1e-6,
-            seed: 0xC1A55E5,
-            restarts: 8,
-        }
+        Self { k, seed: 0xC1A55E5 }
     }
 
     /// Builder: RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder: restart count.
-    pub fn restarts(mut self, r: usize) -> Self {
-        assert!(r >= 1, "need at least one restart");
-        self.restarts = r;
         self
     }
 }
@@ -88,8 +78,6 @@ pub struct KMeansResult {
     pub centroids: Vec<Vec<f64>>,
     /// Final within-cluster sum of squared distances.
     pub inertia: f64,
-    /// Lloyd iterations executed.
-    pub iterations: usize,
 }
 
 /// K-means clusterer.
@@ -112,8 +100,8 @@ impl KMeans {
         }
     }
 
-    /// Cluster `points` into `k` groups: best of `restarts` independent
-    /// k-means++ runs by inertia.
+    /// Cluster `points` into `k` groups: best of 8 independent k-means++
+    /// runs by inertia, each at most 100 Lloyd iterations.
     ///
     /// Flattens the rows once and delegates to [`KMeans::run_flat`].
     ///
@@ -139,25 +127,17 @@ impl KMeans {
         // sequential loop produced. Selection then scans in restart
         // order keeping the first strictly-lower inertia, so the winner
         // is independent of thread count too.
-        let restarts = self.config.restarts.max(1) as u64;
-        let seeds: Vec<u64> = (0..restarts)
+        let seeds: Vec<u64> = (0..RESTARTS)
             .map(|r| self.config.seed ^ r.wrapping_mul(0xA076_1D64_78BD_642F))
             .collect();
         let candidates: Vec<KMeansResult> = seeds
             .par_iter()
             .map(|&seed| self.run_once(points, seed))
             .collect();
-        let mut best: Option<KMeansResult> = None;
-        for candidate in candidates {
-            let better = best
-                .as_ref()
-                .map(|b| candidate.inertia < b.inertia)
-                .unwrap_or(true);
-            if better {
-                best = Some(candidate);
-            }
-        }
-        best.expect("at least one restart")
+        candidates
+            .into_iter()
+            .reduce(|best, c| if c.inertia < best.inertia { c } else { best })
+            .expect("at least one restart")
     }
 
     fn tiled_assignment(&self, n: usize) -> bool {
@@ -178,7 +158,6 @@ impl KMeans {
         // Flat `k × d` centroid buffer; row `c` is centroid `c`.
         let mut centroids = kmeanspp_init(points, k, &mut rng);
         let mut assignments = vec![0usize; n];
-        let mut iterations = 0;
         // Point norms are iteration-invariant; centroid norms are
         // recomputed per iteration (they're O(k·d)).
         let point_norms = if tiled {
@@ -187,8 +166,7 @@ impl KMeans {
             Vec::new()
         };
 
-        for it in 0..self.config.max_iters {
-            iterations = it + 1;
+        for _ in 0..MAX_ITERS {
             assign_step(points, &point_norms, &centroids, k, &mut assignments, tiled);
 
             // Update step: accumulate flat per-cluster sums in place.
@@ -222,7 +200,7 @@ impl KMeans {
                 }
                 movement += move_sq.sqrt();
             }
-            if movement <= self.config.tol {
+            if movement <= TOL {
                 break;
             }
         }
@@ -239,7 +217,6 @@ impl KMeans {
             assignments,
             centroids: centroids.chunks(d.max(1)).map(<[f64]>::to_vec).collect(),
             inertia,
-            iterations,
         }
     }
 }
@@ -550,7 +527,9 @@ mod tests {
     /// embeddings the pipeline actually feeds it.
     mod path_equivalence {
         use super::super::*;
-        use crate::embedding::{normalized_laplacian, row_normalize, top_eigenvectors};
+        use crate::embedding::{
+            normalized_laplacian_inplace, row_normalize, top_eigenvectors_with, EigenPath,
+        };
         use dasc_kernel::{full_gram, Kernel};
         use proptest::prelude::*;
 
@@ -572,12 +551,12 @@ mod tests {
 
         /// The spectral-embedding fixture: rows of the top-k eigenvector
         /// matrix of a normalized Laplacian, row-normalized — exactly
-        /// what `run_on_similarity` hands to k-means.
+        /// what `run_on_similarity_owned` hands to k-means.
         fn spectral_embedding(n: usize, k: usize) -> FlatPoints {
             let pts = two_blobs(n);
-            let gram = full_gram(&pts, &Kernel::gaussian(1.5));
-            let l = normalized_laplacian(&gram);
-            let mut y = top_eigenvectors(&l, k, usize::MAX, 7);
+            let mut l = full_gram(&pts, &Kernel::gaussian(1.5));
+            normalized_laplacian_inplace(&mut l);
+            let mut y = top_eigenvectors_with(&l, k, EigenPath::DenseK, 7);
             row_normalize(&mut y);
             FlatPoints::from_flat(y.into_vec(), k)
         }

@@ -35,8 +35,8 @@ pub mod stages;
 pub use dasc::{bucket_cluster_count, consolidate, Dasc, DascConfig, DascResult, DascTrained};
 pub use dasc_linalg::KernelBackend;
 pub use embedding::{
-    normalized_laplacian, normalized_laplacian_inplace, resolve_eigen_path, row_normalize,
-    top_eigenvectors, top_eigenvectors_with, EigenPath, LANCZOS_THRESHOLD,
+    normalized_laplacian_inplace, resolve_eigen_path, row_normalize, top_eigenvectors_with,
+    EigenPath, LANCZOS_THRESHOLD,
 };
 pub use kmeans::{KMeans, KMeansConfig, KMeansResult};
 pub use local_scaling::{local_scales, local_scaling_similarity};

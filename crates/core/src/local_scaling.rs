@@ -5,7 +5,7 @@
 //! replaces it with `S_ij = exp(−‖xᵢ−xⱼ‖² / (σᵢ σⱼ))` where `σᵢ` is the
 //! distance from `xᵢ` to its `r`-th neighbour. A natural companion to
 //! the paper's pipeline: the resulting matrix drops straight into
-//! [`crate::SpectralClustering::run_on_similarity`].
+//! [`crate::SpectralClustering::run_on_similarity_owned`].
 
 use dasc_linalg::Matrix;
 use dasc_lsh::KdTree;
@@ -124,7 +124,7 @@ mod tests {
     fn local_scaling_separates_mixed_densities() {
         let (pts, truth) = mixed_density();
         let s = local_scaling_similarity(&pts, 7);
-        let c = SpectralClustering::new(SpectralConfig::new(2)).run_on_similarity(&s);
+        let (c, _) = SpectralClustering::new(SpectralConfig::new(2)).run_on_similarity_owned(s);
         let acc = accuracy(&c.assignments, &truth);
         assert!(acc > 0.95, "local scaling accuracy {acc}");
     }
@@ -139,8 +139,8 @@ mod tests {
             SpectralClustering::new(SpectralConfig::new(2).kernel(Kernel::gaussian(0.01)))
                 .run(&pts)
                 .clustering;
-        let local = SpectralClustering::new(SpectralConfig::new(2))
-            .run_on_similarity(&local_scaling_similarity(&pts, 7));
+        let (local, _) = SpectralClustering::new(SpectralConfig::new(2))
+            .run_on_similarity_owned(local_scaling_similarity(&pts, 7));
         let acc_bad = accuracy(&bad_sigma.assignments, &truth);
         let acc_local = accuracy(&local.assignments, &truth);
         assert!(

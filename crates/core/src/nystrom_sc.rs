@@ -4,17 +4,17 @@
 //! `m` landmarks are sampled; approximate degrees are computed through
 //! the Nyström-reconstructed kernel `K̃ = C W⁺ Cᵀ`; the normalized
 //! Laplacian's landmark block is eigendecomposed and extended to all
-//! points; the embedding is orthonormalized, row-normalized, and
-//! K-means'd.
+//! points, and the extension is orthonormalized. That approximate
+//! embedding is NYST's own; its row normalization and K-means are the
+//! shared spectral tail's ([`crate::embedding`]).
 
 use dasc_kernel::Kernel;
-use dasc_linalg::{qr, symmetric_eigen, FlatPoints, Matrix};
+use dasc_linalg::{qr, symmetric_eigen, Matrix};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::embedding::row_normalize;
-use crate::kmeans::{KMeans, KMeansConfig};
+use crate::embedding::cluster_embedding;
 use crate::Clustering;
 
 /// NYST configuration.
@@ -120,22 +120,11 @@ impl Nystrom {
         let mut landmarks: Vec<usize> = idx.into_iter().take(m).collect();
         landmarks.sort_unstable();
 
-        // W (m×m) and C (n×m).
+        // C (n×m), and W (m×m): C's landmark rows (every kernel is
+        // symmetric).
         let kernel = &self.config.kernel;
-        let mut w = Matrix::zeros(m, m);
-        for (a, &i) in landmarks.iter().enumerate() {
-            for (b, &j) in landmarks.iter().enumerate().skip(a) {
-                let v = kernel.eval(&points[i], &points[j]);
-                w[(a, b)] = v;
-                w[(b, a)] = v;
-            }
-        }
-        let mut c = Matrix::zeros(n, m);
-        for i in 0..n {
-            for (b, &j) in landmarks.iter().enumerate() {
-                c[(i, b)] = kernel.eval(&points[i], &points[j]);
-            }
-        }
+        let c = Matrix::from_fn(n, m, |i, b| kernel.eval(&points[i], &points[landmarks[b]]));
+        let w = Matrix::from_fn(m, m, |a, b| c[(landmarks[a], b)]);
 
         // Approximate degrees d ≈ K̃·1 = C W⁺ (Cᵀ·1).
         let eig_w = symmetric_eigen(&w);
@@ -170,44 +159,24 @@ impl Nystrom {
         let dm: Vec<f64> = landmarks.iter().map(|&i| d[i]).collect();
 
         // Normalized Laplacian blocks: Ŵ and Ĉ.
-        let mut w_hat = Matrix::zeros(m, m);
-        for a in 0..m {
-            for b in 0..m {
-                w_hat[(a, b)] = w[(a, b)] / (dm[a] * dm[b]).sqrt();
-            }
-        }
-        let mut c_hat = Matrix::zeros(n, m);
-        for i in 0..n {
-            for b in 0..m {
-                c_hat[(i, b)] = c[(i, b)] / (d[i] * dm[b]).sqrt();
-            }
-        }
+        let w_hat = Matrix::from_fn(m, m, |a, b| w[(a, b)] / (dm[a] * dm[b]).sqrt());
+        let c_hat = Matrix::from_fn(n, m, |i, b| c[(i, b)] / (d[i] * dm[b]).sqrt());
 
         // Nyström extension of the top-k eigenvectors of L̂.
         let eig = symmetric_eigen(&w_hat);
         let (vals, vecs) = eig.top_k(k);
         let val_cutoff = vals.first().map(|v| v.abs()).unwrap_or(0.0) * 1e-10;
-        let mut v = Matrix::zeros(n, k);
-        for col in 0..k {
+        let v = Matrix::from_fn(n, k, |i, col| {
             let lam = vals[col];
             if lam.abs() <= val_cutoff {
-                continue;
+                return 0.0;
             }
-            for i in 0..n {
-                let mut acc = 0.0;
-                for b in 0..m {
-                    acc += c_hat[(i, b)] * vecs[(b, col)];
-                }
-                v[(i, col)] = acc / lam;
-            }
-        }
-        let mut y = if n >= k { qr(&v).q } else { v };
-        row_normalize(&mut y);
-
-        let km = KMeans::new(KMeansConfig::new(k).seed(self.config.seed));
-        let res = km.run_flat(&FlatPoints::from_flat(y.into_vec(), k));
+            (0..m).fold(0.0, |acc, b| acc + c_hat[(i, b)] * vecs[(b, col)]) / lam
+        });
+        // `k = min(K, n)`, so the thin QR (it needs `n ≥ k`) always applies.
+        let labels = cluster_embedding(qr(&v).q, self.config.seed);
         NystromResult {
-            clustering: Clustering::new(res.assignments, k),
+            clustering: Clustering::new(labels, k),
             landmarks: m,
             memory_bytes,
         }

@@ -3,19 +3,23 @@
 //!
 //! PSC sparsifies the similarity matrix to each point's `t` nearest
 //! neighbours (symmetrized), then eigensolves with PARPACK. Here the
-//! sparse matrix is our CSR substrate, the eigensolver is our Lanczos,
-//! and the brute-force neighbour search is rayon-parallel — the same
-//! O(N²) time / O(Nt) memory profile as the original.
+//! sparse matrix is our CSR substrate and the brute-force neighbour
+//! search is rayon-parallel — the same O(N²) time / O(Nt) memory
+//! profile as the original. Only the t-NN graph and its split into
+//! connected components are PSC's own: each component goes through the
+//! shared spectral tail ([`crate::embedding`]), whose CSR route is
+//! Lanczos.
 
 use std::collections::HashSet;
 
 use dasc_kernel::Kernel;
-use dasc_linalg::{lanczos, CooBuilder, CsrMatrix, FlatPoints, LanczosOptions};
+use dasc_linalg::{CooBuilder, CsrMatrix};
 use rayon::prelude::*;
 
 use crate::dasc::bucket_cluster_count;
-use crate::embedding::row_normalize;
-use crate::kmeans::{KMeans, KMeansConfig};
+use crate::embedding::{
+    cluster_embedding, lanczos_top_eigenvectors, sparse_normalized_laplacian_inplace,
+};
 use crate::Clustering;
 
 /// PSC configuration.
@@ -186,7 +190,10 @@ impl ParallelSpectral {
         let comp = connected_components(&sim);
         let num_comps = comp.iter().copied().max().expect("nonempty") + 1;
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); num_comps];
+        // Each point's index within its component.
+        let mut local_index = vec![0usize; n];
         for (i, &c) in comp.iter().enumerate() {
+            local_index[i] = groups[c].len();
             groups[c].push(i);
         }
 
@@ -207,37 +214,20 @@ impl ParallelSpectral {
                 continue;
             }
 
-            // Subgraph CSR for this component.
-            let index_of: std::collections::HashMap<usize, usize> = group
-                .iter()
-                .enumerate()
-                .map(|(local, &global)| (global, local))
-                .collect();
+            // Subgraph CSR for this component; no edge leaves it.
             let mut b = CooBuilder::new(group.len(), group.len());
             for (local, &global) in group.iter().enumerate() {
                 for (j, v) in sim.row_iter(global) {
-                    if let Some(&lj) = index_of.get(&j) {
-                        b.push(local, lj, v);
-                    }
+                    b.push(local, local_index[j], v);
                 }
             }
             let mut sub = b.build();
-            let inv_sqrt: Vec<f64> = sub
-                .row_sums()
-                .iter()
-                .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-                .collect();
-            sub.diag_scale(&inv_sqrt, &inv_sqrt);
-
-            let mut opts = LanczosOptions::top(ki);
-            opts.seed = self.config.seed ^ (gi as u64).wrapping_mul(0x9E37_79B9);
-            let eig = lanczos(&sub, &opts);
-            let mut y = eig.eigenvectors;
-            row_normalize(&mut y);
-            let km = KMeans::new(KMeansConfig::new(ki).seed(self.config.seed));
-            let res = km.run_flat(&FlatPoints::from_flat(y.into_vec(), ki));
-            for (local, &global) in group.iter().enumerate() {
-                assignments[global] = offset + res.assignments[local];
+            sparse_normalized_laplacian_inplace(&mut sub);
+            let seed = self.config.seed ^ (gi as u64).wrapping_mul(0x9E37_79B9);
+            let v = lanczos_top_eigenvectors(&sub, ki, seed);
+            let labels = cluster_embedding(v, self.config.seed);
+            for (&global, &label) in group.iter().zip(&labels) {
+                assignments[global] = offset + label;
             }
             offset += ki;
         }
@@ -280,12 +270,6 @@ fn connected_components(g: &CsrMatrix) -> Vec<usize> {
         .collect()
 }
 
-/// Dense memory an equivalent full similarity matrix would take, for the
-/// Figure 6(b) comparison.
-pub fn dense_equivalent_bytes(n: usize) -> usize {
-    4 * n * n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,7 +309,8 @@ mod tests {
     fn sparse_memory_below_dense() {
         let (pts, _) = two_blobs(50);
         let res = ParallelSpectral::new(PscConfig::new(2)).run(&pts);
-        assert!(res.sparse_memory_bytes < dense_equivalent_bytes(100));
+        // Below the 4-byte dense matrix (Figure 6(b)).
+        assert!(res.sparse_memory_bytes < 4 * 100 * 100);
     }
 
     #[test]

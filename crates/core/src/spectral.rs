@@ -8,10 +8,9 @@ use dasc_linalg::{FlatPoints, Matrix};
 use dasc_obs::span;
 
 use crate::embedding::{
-    normalized_laplacian_inplace, resolve_eigen_path, row_normalize, top_eigenvectors_with,
+    cluster_embedding, normalized_laplacian_inplace, resolve_eigen_path, top_eigenvectors_with,
     EigenPath, LANCZOS_THRESHOLD,
 };
-use crate::kmeans::{KMeans, KMeansConfig};
 use crate::Clustering;
 
 /// Spectral clustering configuration.
@@ -127,20 +126,9 @@ impl SpectralClustering {
     }
 
     /// Cluster a pre-computed similarity matrix (used per bucket by
-    /// DASC). Clones the matrix; prefer
-    /// [`Self::run_on_similarity_owned`] when the similarity can be
-    /// consumed.
-    ///
-    /// # Panics
-    /// Panics if `similarity` is not square.
-    pub fn run_on_similarity(&self, similarity: &Matrix) -> Clustering {
-        self.run_on_similarity_owned(similarity.clone()).0
-    }
-
-    /// Cluster a pre-computed similarity matrix, consuming it: the
-    /// buffer is scaled into the Laplacian in place, so the whole
-    /// pipeline tail allocates only the `n×k` embedding. Returns the
-    /// clustering plus the substage breakdown.
+    /// DASC), consuming it: the buffer is scaled into the Laplacian in
+    /// place, so the whole pipeline tail allocates only the `n×k`
+    /// embedding. Returns the clustering plus the substage breakdown.
     ///
     /// # Panics
     /// Panics if `similarity` is not square.
@@ -164,18 +152,14 @@ impl SpectralClustering {
         let path = resolve_eigen_path(n, k, self.config.lanczos_threshold);
         breakdown.path = path;
         let eigen_span = span!("dasc.cluster.eigen");
-        let mut v = top_eigenvectors_with(&l, k, path, self.config.seed);
+        let v = top_eigenvectors_with(&l, k, path, self.config.seed);
         drop(l);
         breakdown.eigen = eigen_span.finish();
 
         let km_span = span!("dasc.cluster.kmeans");
-        row_normalize(&mut v);
-        let km = KMeans::new(KMeansConfig::new(k).seed(self.config.seed));
-        // The embedding is already row-major `n × k`; hand it to k-means
-        // as a flat buffer instead of re-nesting it into Vec<Vec<f64>>.
-        let res = km.run_flat(&FlatPoints::from_flat(v.into_vec(), k));
+        let labels = cluster_embedding(v, self.config.seed);
         breakdown.kmeans = km_span.finish();
-        (Clustering::new(res.assignments, k), breakdown)
+        (Clustering::new(labels, k), breakdown)
     }
 }
 
@@ -252,11 +236,7 @@ mod tests {
         let cfg = SpectralConfig::new(k);
         let mut l = full_gram_flat(&FlatPoints::from_rows(pts), &cfg.kernel);
         normalized_laplacian_inplace(&mut l);
-        let mut v = top_eigenvectors_with(&l, k, path, cfg.seed);
-        row_normalize(&mut v);
-        let km = KMeans::new(KMeansConfig::new(k).seed(cfg.seed));
-        km.run_flat(&FlatPoints::from_flat(v.into_vec(), k))
-            .assignments
+        cluster_embedding(top_eigenvectors_with(&l, k, path, cfg.seed), cfg.seed)
     }
 
     #[test]

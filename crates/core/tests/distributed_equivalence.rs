@@ -36,7 +36,8 @@ fn reference(points: &[Vec<f64>], cfg: &DascConfig) -> (BucketSet, Clustering) {
             .kernel(cfg.kernel)
             .seed(cfg.seed ^ (b as u64).wrapping_mul(0x9E37_79B9));
         spectral.lanczos_threshold = cfg.lanczos_threshold;
-        let c = SpectralClustering::new(spectral).run_on_similarity(&block.matrix);
+        let (c, _) =
+            SpectralClustering::new(spectral).run_on_similarity_owned(block.matrix.clone());
         for (&point, &local) in block.members.iter().zip(&c.assignments) {
             assignments[point] = offset + local;
         }

@@ -1,8 +1,9 @@
 //! Pipeline-level equivalence for the eigensolver routes: clustering
 //! labels must be independent of the eigen route on separable data,
-//! bit-identical across thread counts on the k-targeted dense path, and
+//! bit-identical across thread counts on the k-targeted dense path,
 //! `SpectralClustering` must be exactly the Eq. 2 tail on the route
-//! `resolve_eigen_path` picks.
+//! `resolve_eigen_path` picks, and `ParallelSpectral` exactly the same
+//! tail on its sparse t-NN graph.
 //!
 //! `crossover_sweep_checks_both_routes` is `#[ignore]`d: it re-measures
 //! the dense-k/Lanczos crossover the route rule encodes. Run it with
@@ -13,11 +14,11 @@ use std::time::Instant;
 
 use dasc_core::{
     normalized_laplacian_inplace, resolve_eigen_path, row_normalize, top_eigenvectors_with, Dasc,
-    DascConfig, EigenPath, KMeans, KMeansConfig, SpectralClustering, SpectralConfig,
-    LANCZOS_THRESHOLD,
+    DascConfig, EigenPath, KMeans, KMeansConfig, ParallelSpectral, PscConfig, SpectralClustering,
+    SpectralConfig, LANCZOS_THRESHOLD,
 };
 use dasc_kernel::{full_gram_flat, Kernel};
-use dasc_linalg::{lanczos, symmetric_eigen_topk, FlatPoints, LanczosOptions, Matrix};
+use dasc_linalg::{lanczos, symmetric_eigen_topk, CsrMatrix, FlatPoints, LanczosOptions, Matrix};
 use dasc_lsh::LshConfig;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -109,6 +110,49 @@ fn spectral_run_is_the_hand_built_tail_on_every_route() {
         assert_eq!(breakdown.path, want, "n = {n}");
         assert_eq!(got.assignments, hand_tail(s, 4, path, 5), "n = {n}");
     }
+}
+
+/// Whether every vertex of the graph `g` is reachable from vertex 0.
+fn is_connected(g: &CsrMatrix) -> bool {
+    let mut seen = vec![false; g.nrows()];
+    let mut stack = vec![0];
+    while let Some(i) = stack.pop() {
+        if !std::mem::replace(&mut seen[i], true) {
+            stack.extend(g.row_iter(i).map(|(j, _)| j));
+        }
+    }
+    seen.iter().all(|&s| s)
+}
+
+#[test]
+fn psc_run_is_the_hand_built_sparse_tail() {
+    // Overlapping blobs make a t-NN graph of one component, which PSC
+    // clusters whole: its Lanczos seed is `seed ^ 0` and its labels take
+    // no offset. So PSC must be exactly the sparse tail written out:
+    // t-NN similarity, D^{-1/2} scaling, Lanczos, row normalization,
+    // K-means.
+    let pts = dasc_data::SyntheticConfig::blobs(300, 4, 4)
+        .spread(0.3)
+        .seed(9)
+        .generate()
+        .points;
+    let (k, seed) = (4, 5);
+    let psc = ParallelSpectral::new(PscConfig::new(k).kernel(Kernel::gaussian(0.15)).seed(seed));
+    let mut l = psc.tnn_similarity(&pts);
+    assert!(
+        is_connected(&l),
+        "the fixture's t-NN graph must be connected"
+    );
+    let inv_sqrt: Vec<f64> = l.row_sums().iter().map(|&d| 1.0 / d.sqrt()).collect();
+    l.diag_scale(&inv_sqrt, &inv_sqrt);
+    let mut opts = LanczosOptions::top(k);
+    opts.seed = seed;
+    let mut v = lanczos(&l, &opts).eigenvectors;
+    row_normalize(&mut v);
+    let want = KMeans::new(KMeansConfig::new(k).seed(seed))
+        .run_flat(&FlatPoints::from_flat(v.into_vec(), k))
+        .assignments;
+    assert_eq!(psc.run(&pts).clustering.assignments, want);
 }
 
 #[test]

@@ -4,7 +4,9 @@
 //! scalar-vs-tiled path equivalence suite lives beside the two paths,
 //! in `kmeans.rs`.)
 
-use dasc_core::embedding::{normalized_laplacian, row_normalize, top_eigenvectors};
+use dasc_core::embedding::{
+    normalized_laplacian_inplace, row_normalize, top_eigenvectors_with, EigenPath,
+};
 use dasc_core::{KMeans, KMeansConfig};
 use dasc_kernel::{full_gram, Kernel};
 use dasc_linalg::FlatPoints;
@@ -28,12 +30,12 @@ fn two_blobs(n: usize) -> Vec<Vec<f64>> {
 
 /// The spectral-embedding fixture: rows of the top-k eigenvector matrix
 /// of a normalized Laplacian, row-normalized — exactly what
-/// `run_on_similarity` hands to k-means.
+/// `run_on_similarity_owned` hands to k-means.
 fn spectral_embedding(n: usize, k: usize) -> FlatPoints {
     let pts = two_blobs(n);
-    let gram = full_gram(&pts, &Kernel::gaussian(1.5));
-    let l = normalized_laplacian(&gram);
-    let mut y = top_eigenvectors(&l, k, usize::MAX, 7);
+    let mut l = full_gram(&pts, &Kernel::gaussian(1.5));
+    normalized_laplacian_inplace(&mut l);
+    let mut y = top_eigenvectors_with(&l, k, EigenPath::DenseK, 7);
     row_normalize(&mut y);
     FlatPoints::from_flat(y.into_vec(), k)
 }
