@@ -10,55 +10,72 @@
 //! row-normalized without cloning, and the dense eigensolve routes
 //! through one of three paths ([`EigenPath`]) — the full dense solver
 //! for tiny or nearly-full spectra, Lanczos (the paper's solver, Sec.
-//! 3.2) wherever its Krylov block is small next to the order, and the
+//! 3.2) wherever its Krylov space is small next to the order, and the
 //! k-targeted dense solver (`symmetric_eigen_topk`, `O(n³)` for the
 //! one-off reduction) in between.
 //!
 //! The crossover was measured, not chosen. Gaussian median-σ
 //! Laplacians of `blobs(n, 64, k)` with 20% noise at spread 1.0 (a
 //! small eigengap; spread 0.2 at n = 80), one thread of a 2-vCPU
-//! AVX2+FMA Xeon VM; "blocks" is `n / lanczos_block(k)`. The `--ignored`
-//! test `crossover_sweep_checks_both_routes` in
-//! `tests/eigen_equivalence.rs` re-runs the grid.
+//! AVX2+FMA Xeon VM. "Block" is the block Lanczos solver of
+//! `dasc_linalg::lanczos`; "single" is the one-vector Lanczos it
+//! replaced, measured in the same session. The `--ignored` test
+//! `crossover_sweep_checks_both_routes` in `tests/eigen_equivalence.rs`
+//! re-runs the grid.
 //!
 //! ```text
-//!    n    k   dense-k ms   Lanczos ms (Krylov dim)   blocks
-//!   80    2        0.66         0.41 (40)              2.0
-//!  128    8        2.01         2.48 (80)              3.2
-//!  160    2        3.01         0.69 (40)              4.0
-//!  160    8        3.01         2.76 (80)              4.0
-//!  200    2        4.53         0.91 (40)              5.0
-//!  200   16        5.06         6.30 (104)             3.8
-//!  256   16        9.38         7.18 (104)             4.9
-//!  256   32        9.86        19.1  (168)             3.0
-//!  512    2       51.8          4.31 (40)             12.8
-//!  512   64       65.2         31.5  (148)             3.5
-//!  512  100       68.2        365    (440)             2.3
-//!  768   64      156           60.2  (148)             5.2
-//! 1024   64      482          123    (148)             6.9
-//! 1024   96      408          595    (424)             4.8
-//! 1024  128      566         1176    (552)             3.7
-//! 2349    9     6969          590    (80)             29
-//! 2349  200     7612        10430    (840)             5.6
-//! 2349  469     9042        94012    (1916)            2.5
+//!    n    k   dense-k ms   block ms (dim)   single ms (dim)   route
+//!   80    2        0.43       0.12 (18)        0.32 (40)      dense_k
+//!   80    8        0.47       0.66 (48)        0.30 (40)      dense_k
+//!   80   16        0.54       1.78 (76)        0.50 (52)      dense_k
+//!  128    2        1.15       0.50 (38)        0.43 (40)      dense_k
+//!  128    8        1.23       1.68 (76)        1.69 (80)      dense_k
+//!  128   16        1.42       3.15 (96)        2.75 (104)     dense_k
+//!  160    2        1.88       0.64 (38)        0.56 (40)      dense_k
+//!  160    8        2.04       1.89 (76)        2.04 (80)      dense_k
+//!  160   16        2.11       3.26 (96)        3.22 (104)     dense_k
+//!  200    2        2.87       1.43 (48)        0.70 (40)      lanczos
+//!  200    8        3.32       2.12 (76)        2.25 (80)      lanczos
+//!  200   16        3.32       3.69 (96)        3.91 (104)     dense_k
+//!  200   24        3.56       4.97 (112)       6.75 (136)     dense_k
+//!  256    2        7.64       1.81 (48)        1.21 (40)      lanczos
+//!  256    8        8.10       5.19 (96)        2.70 (80)      lanczos
+//!  256   16        8.54       4.23 (96)        4.24 (104)     lanczos
+//!  256   32        6.67       6.06 (112)      10.3  (168)     dense_k
+//!  512    2       38.1        4.38 (48)        4.40 (40)      lanczos
+//!  512   16       52.6       15.3  (120)      17.2  (104)     lanczos
+//!  512   48       51.4       13.5  (120)      15.8  (116)     lanczos
+//!  512   64       43.8       18.1  (128)      23.5  (148)     dense_k
+//!  512  100       68.1      109    (316)     167    (440)     dense_k
+//! 1024    2      436         21.6  (38)       23.3  (40)      lanczos
+//! 1024   64      400         56.4  (128)     105    (148)     lanczos
+//! 1024   96      457        343    (376)     545    (424)     lanczos
+//! 1024  128      494        474    (496)     719    (552)     dense_k
+//! 1024  204      430        739    (628)    2044    (856)     dense_k
+//! 2349    9     7331        307    (120)     518    (80)      lanczos
+//! 2349   64     7926        386    (128)     923    (148)     lanczos
+//! 2349  200     6871       3817    (776)    8986    (840)     lanczos
 //! ```
 //!
-//! Lanczos wins 1.6–18× wherever its first Krylov block
-//! ([`dasc_linalg::lanczos_block`]) converges, and loses up to 10× where
-//! a large `k` and a small eigengap grow the space toward `n`. Whether
-//! it grows depends on the spectrum, which `(n, k)` alone does not tell,
-//! so [`resolve_eigen_path`] bounds the damage. Under four blocks,
-//! dense-k was faster on 12 of the 14 spread-1.0 cases with `k ≥ 8`, so
-//! those stay on dense-k; so does everything up to the 160-point
-//! default floor, where `k ≤ 4` still favoured Lanczos (1.6–3.4×) but
-//! `(128, 8)` did not. Above four blocks Lanczos still lost on some
-//! large-`k` cases past `n = 512` (up to 5.6 blocks, 0.7×), but a larger
-//! multiplier would also have moved `(768, 64)`, a 2.6× Lanczos win, to
-//! dense-k.
+//! On every case the rule sends to Lanczos, the block solver beats
+//! dense-k (1.3–24×). [`resolve_eigen_path`] keeps dense-k up to the
+//! 160-point floor and while `n` is under four route blocks
+//! (`lanczos_block(k) = max(2k + 20, 40)` vectors, the space a small
+//! eigengap makes Lanczos build): whether the Krylov space grows
+//! toward `n` depends on the spectrum, which `(n, k)` alone does not
+//! tell, and under four blocks dense-k was still faster on 7 of these
+//! 11 cases (`(160, 8)` and `(1024, 128)` tie). Two cases under four
+//! blocks now favour Lanczos, `(256, 32)` by 1.1× and `(512, 64)` by
+//! 2.4×; the rule was kept as it was measured for the single-vector
+//! solver. Against that solver, the block solver is as fast or faster
+//! from `n = 512` up (1.0–2.8×, most at large `n` or `k`), and slower on small orders with a small eigengap
+//! (`(200, 2)`, `(256, 2)`, `(256, 8)` on the Lanczos route), where the
+//! matrix stays in cache, a block reads it little faster than one
+//! vector, and the Rayleigh–Ritz checks cost as much as the products.
 
 use dasc_linalg::{
-    lanczos, lanczos_block, symmetric_eigen, symmetric_eigen_topk, CsrMatrix, FlatPoints,
-    LanczosOptions, MatVec, Matrix,
+    lanczos, symmetric_eigen, symmetric_eigen_topk, CsrMatrix, FlatPoints, LanczosOptions, MatVec,
+    Matrix,
 };
 
 use crate::kmeans::{KMeans, KMeansConfig};
@@ -96,24 +113,31 @@ impl EigenPath {
 const DENSE_FULL_MAX: usize = 64;
 
 /// Default dense floor: at or below this order every bucket stays on
-/// dense-k. For `k ≤ 10` the Lanczos block is 40 vectors, so this is
-/// four blocks, where Lanczos stops losing on hard spectra (n = 160,
+/// dense-k. For `k ≤ 10` a route block (`max(2k + 20, 40)`) is 40
+/// vectors, so this is four blocks, where Lanczos stops losing on hard spectra (n = 160,
 /// k = 8 ties in the module table). Every executor (serial [`crate::Dasc`],
 /// [`crate::SpectralClustering`] and the `dasc-dist` reduce tasks)
 /// takes its default from here, so the routes cannot drift apart.
 pub const LANCZOS_THRESHOLD: usize = 160;
 
-/// Lanczos needs `n` to be at least this many Krylov blocks
+/// Lanczos needs `n` to be at least this many route blocks
 /// ([`lanczos_block`]) before it beats dense-k: closer to `n`, a small
 /// eigengap grows the space toward the full order at `O(n³)` cost with
 /// a worse constant than the dense reduction (module table).
 const LANCZOS_MIN_BLOCKS: usize = 4;
 
+/// The route rule's measure of a Lanczos run's size for `k` pairs:
+/// `max(2k + 20, 40)` vectors, the Krylov space a small eigengap makes
+/// the solver build before its pairs converge.
+fn lanczos_block(k: usize) -> usize {
+    (2 * k + 20).max(40)
+}
+
 /// Resolve the automatic eigensolver choice for an `n×n` problem
 /// wanting `k` vectors: full dense for tiny orders or nearly-full
 /// spectra (`4k ≥ n`); the k-targeted dense path up to the caller's
 /// `lanczos_threshold` floor, or while `n` is under
-/// `LANCZOS_MIN_BLOCKS` Lanczos blocks; Lanczos beyond both.
+/// `LANCZOS_MIN_BLOCKS` route blocks; Lanczos beyond both.
 pub fn resolve_eigen_path(n: usize, k: usize, lanczos_threshold: usize) -> EigenPath {
     if n <= DENSE_FULL_MAX || 4 * k >= n {
         EigenPath::DenseFull
@@ -323,8 +347,8 @@ mod tests {
 
     #[test]
     fn default_route_follows_the_measured_crossover() {
-        // The module table's cases: Lanczos where its Krylov block is
-        // small next to n, dense-k where the block nears n.
+        // The module table's cases: Lanczos where a route block is
+        // small next to n, dense-k where four blocks reach n.
         for (n, k, want) in [
             (80, 2, EigenPath::DenseK),
             (200, 2, EigenPath::Lanczos),

@@ -20,6 +20,8 @@ use dasc_core::{
 use dasc_kernel::{full_gram_flat, Kernel};
 use dasc_linalg::{lanczos, symmetric_eigen_topk, CsrMatrix, FlatPoints, LanczosOptions, Matrix};
 use dasc_lsh::LshConfig;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -239,6 +241,52 @@ fn lanczos_converges_on_a_low_eigengap_laplacian() {
     assert!(worst_proj >= 1.0 - 1e-6, "projection {worst_proj}");
 }
 
+/// Normalized Laplacian of `c` well-separated blobs: 1200 points in 16
+/// dimensions, blob `i` centred at `10·e_i` with uniform ±0.3 noise, under
+/// a Gaussian σ = 0.5 kernel. The blobs barely touch, so the top
+/// eigenvalue 1 has multiplicity `c`.
+fn separated_blob_laplacian(c: usize, seed: u64) -> Matrix {
+    let (n, dim) = (1200, 16);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let pts: Vec<Vec<f64>> = (0..n)
+        .map(|i| {
+            let blob = i * c / n;
+            (0..dim)
+                .map(|j| if j == blob { 10.0 } else { 0.0 } + rng.gen_range(-0.3..0.3))
+                .collect()
+        })
+        .collect();
+    let mut l = full_gram_flat(&FlatPoints::from_rows(&pts), &Kernel::gaussian(0.5));
+    normalized_laplacian_inplace(&mut l);
+    l
+}
+
+#[test]
+fn lanczos_keeps_every_copy_of_a_repeated_top_eigenvalue() {
+    // The residual bound cannot tell a dropped copy of a repeated
+    // eigenvalue: the next eigenpair (about 0.2 here) is a true pair too.
+    for c in 2..=4 {
+        for seed in 0..6 {
+            let l = separated_blob_laplacian(c, seed);
+            let res = lanczos(&l, &LanczosOptions::top(c));
+            assert_eq!(res.eigenvalues.len(), c);
+            for v in &res.eigenvalues {
+                assert!(
+                    *v >= 1.0 - 1e-8,
+                    "c = {c}, seed {seed}: {:?}",
+                    res.eigenvalues
+                );
+            }
+            let dense = symmetric_eigen_topk(&l, c);
+            let proj = worst_projection(&dense.eigenvectors, &res.eigenvectors);
+            assert!(
+                proj >= 1.0 - 1e-6,
+                "c = {c}, seed {seed}: lanczos keeps {proj} in the dense-k subspace"
+            );
+        }
+    }
+}
+
 /// Best-of-`reps` wall time of `f` in milliseconds, with its last result.
 fn timed<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
@@ -255,8 +303,8 @@ fn timed<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 #[ignore = "crossover sweep: run in release with --ignored --nocapture"]
 fn crossover_sweep_checks_both_routes() {
     // (spread, n, ks): the grid the route rule was read from, on one
-    // thread. Each order has cases on both sides of four Krylov blocks
-    // (`n / lanczos_block(k)`), k reaches n/5 at n = 1024, and 2349 is
+    // thread. Each order has cases on both sides of four route blocks
+    // (`n / max(2k + 20, 40)`), k reaches n/5 at n = 1024, and 2349 is
     // the largest bucket of the skewed benchmark workload.
     let grid: [(f64, usize, &[usize]); 8] = [
         (0.2, 80, &[2, 8, 16]),

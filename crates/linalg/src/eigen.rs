@@ -169,15 +169,22 @@ pub(crate) fn tridiagonal_ql(
     d
 }
 
-/// Eigendecompose a symmetric tridiagonal matrix: [`tridiagonal_ql`]
-/// on an identity basis, eigenvalues sorted ascending.
-pub(crate) fn tridiagonal_eigen(diagonal: &[f64], off_diagonal: &[f64]) -> SymmetricEigen {
-    let n = diagonal.len();
+/// Full eigendecomposition of a dense symmetric matrix: Householder
+/// reduction, QL with vectors, then one blocked back-transform of all
+/// `n` eigenvectors of `T` into eigenvectors of `a`.
+///
+/// # Panics
+/// Panics if `a` is not square or the QL iteration fails to converge
+/// (which for symmetric input does not happen in practice).
+pub fn symmetric_eigen(a: &Matrix) -> SymmetricEigen {
+    let tri = tridiagonalize(a);
+    let n = tri.order();
     let mut vectors = vec![0.0; n * n];
     for i in 0..n {
         vectors[i * n + i] = 1.0;
     }
-    let d = tridiagonal_ql(diagonal, off_diagonal, Some(&mut vectors));
+    let d = tridiagonal_ql(&tri.diagonal, &tri.off_diagonal, Some(&mut vectors));
+    tri.back_transform_rows(&mut vectors, n);
 
     // Sort eigenvalues ascending; vectors stay where QL left them and
     // the permutation records the pairing (no n×n copy here).
@@ -190,20 +197,6 @@ pub(crate) fn tridiagonal_eigen(diagonal: &[f64], off_diagonal: &[f64]) -> Symme
         vectors,
         perm,
     }
-}
-
-/// Full eigendecomposition of a dense symmetric matrix: Householder
-/// reduction, QL with vectors, then one blocked back-transform of all
-/// `n` eigenvectors of `T` into eigenvectors of `a`.
-///
-/// # Panics
-/// Panics if `a` is not square or the QL iteration fails to converge
-/// (which for symmetric input does not happen in practice).
-pub fn symmetric_eigen(a: &Matrix) -> SymmetricEigen {
-    let tri = tridiagonalize(a);
-    let mut eig = tridiagonal_eigen(&tri.diagonal, &tri.off_diagonal);
-    tri.back_transform_rows(&mut eig.vectors, tri.order());
-    eig
 }
 
 #[cfg(test)]

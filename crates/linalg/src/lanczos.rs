@@ -1,24 +1,53 @@
-//! Lanczos iteration with full reorthogonalization.
+//! Block Lanczos iteration with full reorthogonalization.
 //!
 //! This is the PARPACK substitute used by the PSC baseline (sparse t-NN
 //! Laplacians) and by DASC on buckets large enough that a full dense
 //! eigendecomposition would dominate. It computes the `k` algebraically
 //! largest eigenpairs of any symmetric [`MatVec`] operator.
 //!
-//! Full (two-pass) reorthogonalization keeps the Krylov basis orthogonal
-//! at O(m²n) cost — the subspaces here are small (`m ≲ 2k + 20` unless
-//! a small eigengap makes [`lanczos`] grow them), so this is cheaper and
-//! far more robust than selective reorthogonalization.
+//! * **Block width.** The Krylov space grows by `b = min(k, 4)` vectors
+//!   at a time through one [`MatVec::matvec_many`], so a dense operator
+//!   streams through cache once per block rather than once per vector
+//!   (4 is the width of the `gemm` panel kernel's `dot4`). A block of
+//!   `b` start vectors also finds up to `b` copies of a repeated
+//!   eigenvalue; a Krylov space grown from one vector holds only one
+//!   (in exact arithmetic), and the residual check cannot tell.
+//! * **Orthogonalization.** Each new block is orthogonalized against the
+//!   whole basis by block classical Gram–Schmidt, done twice ("twice is
+//!   enough", Parlett), with the coefficients of each pass from one
+//!   `gemm::abt_into`. The first pass's coefficients are the block's
+//!   columns of the projected matrix `H = VᵀAV`. Modified Gram–Schmidt
+//!   then orthonormalizes the block in itself; a column that breaks down
+//!   (an invariant subspace, common for the block-diagonal matrices DASC
+//!   produces) is replaced by a fresh random direction orthogonal to
+//!   everything built so far.
+//! * **Checks.** Convergence is checked when the basis first reaches
+//!   `max(8, k)` vectors, then each time it has grown by a quarter. The
+//!   Rayleigh–Ritz step takes only the top `k` eigenpairs of `H`
+//!   ([`crate::symmetric_eigen_topk`]). Their residuals are estimated
+//!   without the operator: `A V s − θ V s = W⊥ s_last`, where `W⊥` is
+//!   the orthogonalized next block and `s_last` the last block's part of
+//!   the Ritz coordinates `s`, so the estimate is `‖R s_last‖` with `R`
+//!   the next block's Gram–Schmidt factor. Only when every estimate
+//!   passes are the Ritz vectors lifted and checked against the operator
+//!   itself (one more `matvec_many`); pairs that miss that bound keep the
+//!   space growing, until the basis spans the space.
+//! * **Working set.** The basis (`m × n`), the projected matrix
+//!   (`m × m`) and one block with its product (two `b × n` buffers);
+//!   `A·V` is not kept.
 //!
-//! The inner loops (`vector::{dot, axpy, norm2}` and the operator's
-//! `matvec`) dispatch to the process kernel backend (see
-//! [`crate::simd`]), so the Lanczos path is vectorized automatically
-//! wherever the host supports AVX2+FMA or NEON.
+//! The inner loops (`gemm::abt_into`, `vector::{dot, axpy}` and the
+//! operator's `matvec_many`) dispatch to the process kernel backend (see
+//! [`crate::simd`]), and none of them changes its result with the
+//! thread count, so runs are bit-identical across pool sizes within a
+//! backend.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use rayon::prelude::*;
 
-use crate::eigen::tridiagonal_eigen;
+use crate::eigen_k::symmetric_eigen_topk;
+use crate::gemm::abt_into;
 use crate::operator::MatVec;
 use crate::vector;
 use crate::Matrix;
@@ -28,7 +57,7 @@ use crate::Matrix;
 pub struct LanczosOptions {
     /// Number of leading (largest) eigenpairs requested.
     pub k: usize,
-    /// RNG seed for the starting vector (runs are deterministic).
+    /// RNG seed for the starting block (runs are deterministic).
     pub seed: u64,
 }
 
@@ -42,18 +71,19 @@ impl LanczosOptions {
     }
 }
 
-/// Vectors in the first Krylov space [`lanczos`] builds for `k` pairs,
-/// and in each extension after it: `max(2k + 20, 40)` (capped at the
-/// operator order by the solver). The eigen route rule in `dasc-core`
-/// reads the same function, so the solver's cost model and the route
-/// choice cannot drift apart.
-pub fn lanczos_block(k: usize) -> usize {
-    (2 * k + 20).max(40)
-}
+/// Widest Krylov block: the width of the panel kernel's `dot4`.
+const MAX_BLOCK: usize = 4;
+
+/// Basis size of the first convergence check (or `k`, if larger).
+const FIRST_CHECK: usize = 8;
 
 /// Residual bound every returned pair meets:
 /// `‖A v − λ v‖ ≤ RESIDUAL_TOL · max(1, |λ₁|)`.
 const RESIDUAL_TOL: f64 = 1e-8;
+
+/// A Gram–Schmidt column whose norm falls to this share of the largest
+/// `‖A q‖` seen (at least 1) has broken down.
+const BREAKDOWN: f64 = 16.0 * f64::EPSILON;
 
 /// Result of a Lanczos run.
 #[derive(Clone, Debug)]
@@ -69,15 +99,11 @@ pub struct LanczosResult {
 /// Compute the `k` algebraically largest eigenpairs of a symmetric
 /// operator.
 ///
-/// The first Krylov space has `min(n, lanczos_block(k))` vectors. While
-/// any requested Ritz pair misses the residual bound, the same
-/// recurrence from the same start vector grows the space by that much
-/// again, until every pair passes or the basis spans the space. So a
-/// small eigengap costs more vectors, never accuracy.
-///
-/// Breakdowns (invariant subspaces, common for the block-diagonal
-/// matrices DASC produces) are handled by restarting with a fresh random
-/// direction orthogonal to the basis built so far.
+/// The Krylov space starts from `min(k, 4)` random vectors drawn from
+/// `opts.seed` and grows a block at a time until every Ritz pair meets
+/// `‖A v − λ v‖ ≤ 1e-8 · max(1, |λ₁|)` or the basis spans the space
+/// (module docs). So a small eigengap costs more vectors, never
+/// accuracy.
 ///
 /// # Panics
 /// Panics if `opts.k == 0`.
@@ -93,101 +119,210 @@ pub fn lanczos<A: MatVec>(a: &A, opts: &LanczosOptions) -> LanczosResult {
         };
     }
 
-    let step = lanczos_block(k).min(n);
-    let mut m = step;
     let mut rng = ChaCha8Rng::seed_from_u64(opts.seed);
-    // Krylov basis, one row per Lanczos vector (row-major friendly).
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m);
-    let mut alphas: Vec<f64> = Vec::with_capacity(m);
-    let mut betas: Vec<f64> = Vec::with_capacity(m);
-
-    // The next Lanczos vector; `None` after a breakdown, until a fresh
-    // direction is drawn.
-    let mut next = Some(random_unit_vector(n, &mut rng));
-    let mut spans_space = false;
-    let mut w = vec![0.0; n];
-
+    let mut space = Krylov::new(n);
+    let start = (0..k.min(MAX_BLOCK) * n)
+        .map(|_| rng.gen_range(-1.0..1.0))
+        .collect();
+    let (mut block, _) = space.orthonormalize(start, &mut rng);
+    let mut next_check = FIRST_CHECK.max(k);
     loop {
-        while basis.len() < m {
-            let q = match next.take() {
-                Some(q) => q,
-                None => match fresh_orthogonal_direction(n, &basis, &mut rng) {
-                    Some(fresh) => fresh,
-                    None => {
-                        spans_space = true;
-                        break;
-                    }
-                },
-            };
-            basis.push(q);
-            let j = basis.len() - 1;
-            a.matvec(&basis[j], &mut w);
-            if j > 0 {
-                vector::axpy(-betas[j - 1], &basis[j - 1], &mut w);
-            }
-            let alpha = vector::dot(&basis[j], &w);
-            alphas.push(alpha);
-            vector::axpy(-alpha, &basis[j], &mut w);
-            // Full reorthogonalization, twice ("twice is enough", Parlett).
-            for _ in 0..2 {
-                for b in &basis {
-                    vector::orthogonalize_against(b, &mut w);
+        let width = block.len() / n;
+        let w = space.extend(a, &block);
+        let (next, r) = space.orthonormalize(w, &mut rng);
+        let m = space.dim();
+        let spans_space = next.is_empty();
+        if spans_space || m >= next_check {
+            let top = symmetric_eigen_topk(&space.projected(), k);
+            let (values, coords) = (top.eigenvalues, top.eigenvectors);
+            if spans_space || estimates_pass(&values, &coords, &r, width) {
+                let ritz = space.lift(&coords);
+                if spans_space || residuals_pass(a, &values, &ritz) {
+                    return LanczosResult {
+                        eigenvalues: values,
+                        eigenvectors: ritz.transpose(),
+                        subspace_dim: m,
+                    };
                 }
             }
-            let beta = vector::norm2(&w);
-            let scale = alphas
-                .iter()
-                .zip(betas.iter().chain(std::iter::once(&0.0)))
-                .map(|(a, b)| a.abs() + b.abs())
-                .fold(1.0_f64, f64::max);
-            if beta <= f64::EPSILON * scale * 16.0 {
-                // Invariant subspace: continue from a fresh orthogonal
-                // direction, drawn when the basis next grows.
-                betas.push(0.0);
-            } else {
-                betas.push(beta);
-                next = Some(w.iter().map(|v| v / beta).collect());
-            }
+            next_check = (m * 5).div_ceil(4);
         }
-
-        let (values, ritz) = ritz_pairs(&basis, &alphas, &betas, k);
-        if spans_space || basis.len() == n || residuals_pass(a, &values, &ritz) {
-            return LanczosResult {
-                eigenvalues: values,
-                eigenvectors: ritz.transpose(),
-                subspace_dim: basis.len(),
-            };
-        }
-        m = (m + step).min(n);
+        block = next;
     }
 }
 
-/// The top-`k` Ritz pairs of the Lanczos basis: eigenpairs of the
-/// projected tridiagonal matrix, lifted back through the basis. The
-/// Ritz vectors come back as the rows of a `k × n` matrix.
-fn ritz_pairs(basis: &[Vec<f64>], alphas: &[f64], betas: &[f64], k: usize) -> (Vec<f64>, Matrix) {
-    let dim = basis.len();
-    // Assemble the projected tridiagonal matrix T (EISPACK layout: the
-    // off-diagonal entry i couples rows i-1 and i).
-    let mut off = vec![0.0; dim];
-    off[1..dim].copy_from_slice(&betas[..dim - 1]);
-    let small = tridiagonal_eigen(alphas, &off);
-    let (values, small_vecs) = small.top_k(k);
+/// The Krylov basis and the projected matrix built on it.
+struct Krylov {
+    n: usize,
+    /// Orthonormal basis vectors back to back (`m × n` row-major).
+    basis: Vec<f64>,
+    /// `H = VᵀAV` by columns, upper triangle: `h[j][i] = vᵢᵀ A vⱼ` for
+    /// `i ≤ j`.
+    h: Vec<Vec<f64>>,
+    /// Largest `‖A q‖` seen, at least 1: the scale breakdowns are judged
+    /// against.
+    scale: f64,
+}
 
-    // Ritz vectors: V = Qᵀ · s  (basis rows are the Lanczos vectors).
-    let n = basis[0].len();
-    let mut ritz = Matrix::zeros(values.len(), n);
-    for (col, v) in ritz.as_mut_slice().chunks_exact_mut(n).enumerate() {
-        for (j, b) in basis.iter().enumerate() {
-            let c = small_vecs[(j, col)];
-            if c != 0.0 {
-                for (vi, bi) in v.iter_mut().zip(b) {
-                    *vi += c * bi;
+impl Krylov {
+    fn new(n: usize) -> Self {
+        Self {
+            n,
+            basis: Vec::new(),
+            h: Vec::new(),
+            scale: 1.0,
+        }
+    }
+
+    /// Basis vectors so far.
+    fn dim(&self) -> usize {
+        self.basis.len() / self.n
+    }
+
+    /// Append the orthonormal `block` (rows back to back) to the basis
+    /// and record its columns of `H`. Returns `W⊥ = (I − VVᵀ)·A·block`
+    /// with the new `V`, rows back to back.
+    fn extend<A: MatVec>(&mut self, a: &A, block: &[f64]) -> Vec<f64> {
+        let n = self.n;
+        let width = block.len() / n;
+        let m0 = self.dim();
+        self.basis.extend_from_slice(block);
+        let mut av = vec![0.0; n * width];
+        a.matvec_many(block, width, &mut av);
+        let mut w = vec![0.0; width * n];
+        for (i, row) in av.chunks_exact(width).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                w[c * n + i] = v;
+            }
+        }
+        for row in w.chunks_exact(n) {
+            self.scale = self.scale.max(vector::norm2(row));
+        }
+        let coeffs = self.project_out(&mut w);
+        for c in 0..width {
+            let column = (0..=m0 + c).map(|i| coeffs[i * width + c]).collect();
+            self.h.push(column);
+        }
+        self.project_out(&mut w);
+        w
+    }
+
+    /// One block classical Gram–Schmidt pass over the rows of `w`:
+    /// `w ← w − (V Wᵀ)ᵀ V`. Returns the coefficients `V Wᵀ`
+    /// (`m × width` row-major).
+    fn project_out(&self, w: &mut [f64]) -> Vec<f64> {
+        let n = self.n;
+        let (m, width) = (self.dim(), w.len() / n);
+        let mut coeffs = vec![0.0; m * width];
+        if m == 0 {
+            return coeffs;
+        }
+        abt_into(&self.basis, m, w, width, n, &mut coeffs, width);
+        for (v, cs) in self.basis.chunks_exact(n).zip(coeffs.chunks_exact(width)) {
+            for (row, &c) in w.chunks_exact_mut(n).zip(cs) {
+                vector::axpy(-c, v, row);
+            }
+        }
+        coeffs
+    }
+
+    /// Orthonormalize the rows of `w`, already orthogonal to the basis,
+    /// by modified Gram–Schmidt (each column twice against the ones
+    /// before it), replacing a column that breaks down by a fresh
+    /// direction. Returns the orthonormal rows, at most as many as the
+    /// basis has room for and none once no fresh direction is left, and
+    /// the factor `R` (`width × width` row-major, upper triangular) with
+    /// `w_c = Σ_{c' ≤ c} R[c'][c] q_{c'}` up to breakdown noise.
+    fn orthonormalize(&self, mut w: Vec<f64>, rng: &mut ChaCha8Rng) -> (Vec<f64>, Vec<f64>) {
+        let n = self.n;
+        let width = w.len() / n;
+        let room = n - self.dim();
+        let mut r = vec![0.0; width * width];
+        let mut q: Vec<f64> = Vec::with_capacity(width * n);
+        for (c, col) in w.chunks_exact_mut(n).enumerate() {
+            if q.len() / n == room {
+                break;
+            }
+            for _ in 0..2 {
+                for (c2, qc) in q.chunks_exact(n).enumerate() {
+                    let d = vector::dot(qc, col);
+                    vector::axpy(-d, qc, col);
+                    r[c2 * width + c] += d;
+                }
+            }
+            let norm = vector::norm2(col);
+            r[c * width + c] = norm;
+            if norm > BREAKDOWN * self.scale {
+                vector::scale(1.0 / norm, col);
+                q.extend_from_slice(col);
+            } else {
+                match self.fresh_direction(&q, rng) {
+                    Some(fresh) => q.extend_from_slice(&fresh),
+                    None => break,
                 }
             }
         }
+        (q, r)
     }
-    (values, ritz)
+
+    /// A random unit vector orthogonal to the basis and to the rows of
+    /// `block`; `None` once they (numerically) span the space.
+    fn fresh_direction(&self, block: &[f64], rng: &mut ChaCha8Rng) -> Option<Vec<f64>> {
+        let n = self.n;
+        for _ in 0..8 {
+            let mut v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            vector::normalize(&mut v);
+            for _ in 0..2 {
+                self.project_out(&mut v);
+                for qc in block.chunks_exact(n) {
+                    vector::orthogonalize_against(qc, &mut v);
+                }
+            }
+            if vector::normalize(&mut v) > 1e-8 {
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    /// The projected matrix `H = VᵀAV` (`m × m`).
+    fn projected(&self) -> Matrix {
+        let m = self.dim();
+        Matrix::from_fn(m, m, |i, j| self.h[i.max(j)][i.min(j)])
+    }
+
+    /// Ritz vectors `V s` for the columns of `coords` (`m × k`), as the
+    /// rows of a `k × n` matrix.
+    fn lift(&self, coords: &Matrix) -> Matrix {
+        let n = self.n;
+        let mut ritz = Matrix::zeros(coords.ncols(), n);
+        ritz.as_mut_slice()
+            .par_chunks_mut(n)
+            .enumerate()
+            .for_each(|(col, y)| {
+                for (i, v) in self.basis.chunks_exact(n).enumerate() {
+                    vector::axpy(coords[(i, col)], v, y);
+                }
+            });
+        ritz
+    }
+}
+
+/// Whether every Ritz pair's residual estimate `‖R s_last‖` meets the
+/// [`RESIDUAL_TOL`] bound: `coords` holds the Ritz coordinates as
+/// columns, `r` the Gram–Schmidt factor of the block after the last
+/// `width` basis vectors.
+fn estimates_pass(values: &[f64], coords: &Matrix, r: &[f64], width: usize) -> bool {
+    let m = coords.nrows();
+    let tol = RESIDUAL_TOL * values.first().map_or(1.0, |v| v.abs()).max(1.0);
+    (0..values.len()).all(|col| {
+        let last: Vec<f64> = (m - width..m).map(|i| coords[(i, col)]).collect();
+        let sq: f64 = r
+            .chunks_exact(width)
+            .map(|row| vector::dot(row, &last).powi(2))
+            .sum();
+        sq.sqrt() <= tol
+    })
 }
 
 /// Whether every Ritz pair (`ritz` holds the vectors as rows) meets the
@@ -207,36 +342,6 @@ fn residuals_pass<A: MatVec>(a: &A, values: &[f64], ritz: &Matrix) -> bool {
             .sum();
         residual_sq.sqrt() <= RESIDUAL_TOL * lambda_scale
     })
-}
-
-fn random_unit_vector(n: usize, rng: &mut ChaCha8Rng) -> Vec<f64> {
-    let mut v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    if vector::normalize(&mut v) == 0.0 {
-        v[0] = 1.0;
-    }
-    v
-}
-
-/// Draw random vectors until one has a significant component outside the
-/// span of `basis`; returns `None` once the basis is (numerically) full.
-fn fresh_orthogonal_direction(
-    n: usize,
-    basis: &[Vec<f64>],
-    rng: &mut ChaCha8Rng,
-) -> Option<Vec<f64>> {
-    if basis.len() >= n {
-        return None;
-    }
-    for _ in 0..8 {
-        let mut v = random_unit_vector(n, rng);
-        for b in basis {
-            vector::orthogonalize_against(b, &mut v);
-        }
-        if vector::normalize(&mut v) > 1e-8 {
-            return Some(v);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -267,11 +372,9 @@ mod tests {
         assert!((res.eigenvalues[2] - 18.0).abs() < 1e-8);
     }
 
-    #[test]
-    fn matches_dense_eigensolver() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let n = 30;
+    /// Random symmetric `n × n` matrix with entries in `[-1, 1)`.
+    fn random_symmetric(n: usize, seed: u64) -> Matrix {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut a = Matrix::zeros(n, n);
         for i in 0..n {
             for j in 0..=i {
@@ -280,12 +383,23 @@ mod tests {
                 a[(j, i)] = v;
             }
         }
+        a
+    }
+
+    #[test]
+    fn matches_dense_eigensolver() {
+        // k = 1 runs blocks of one vector; k = 6 ends in a pair the
+        // 4-wide blocks do not divide.
+        let a = random_symmetric(30, 7);
         let dense = crate::symmetric_eigen(&a);
-        let (dense_top, _) = dense.top_k(4);
-        let res = lanczos(&a, &LanczosOptions::top(4));
-        assert!(max_residual(&a, &res) <= 1e-8 * res.eigenvalues[0].abs().max(1.0));
-        for (l, d) in res.eigenvalues.iter().zip(&dense_top) {
-            assert!((l - d).abs() < 1e-6, "lanczos {l} vs dense {d}");
+        for k in [1, 4, 6] {
+            let (dense_top, _) = dense.top_k(k);
+            let res = lanczos(&a, &LanczosOptions::top(k));
+            assert_eq!(res.eigenvalues.len(), k);
+            assert!(max_residual(&a, &res) <= 1e-8 * res.eigenvalues[0].abs().max(1.0));
+            for (l, d) in res.eigenvalues.iter().zip(&dense_top) {
+                assert!((l - d).abs() < 1e-6, "k = {k}: lanczos {l} vs dense {d}");
+            }
         }
     }
 
@@ -325,6 +439,15 @@ mod tests {
         for v in &res.eigenvalues {
             assert!((v - 1.0).abs() < 1e-10);
         }
+        // An order below the 4-wide block: the whole space in one block.
+        let a = Matrix::from_rows(&[&[2.0, 1.0, 0.0], &[1.0, 2.0, 1.0], &[0.0, 1.0, 2.0]]);
+        let res = lanczos(&a, &LanczosOptions::top(4));
+        let want = [2.0 + 2f64.sqrt(), 2.0, 2.0 - 2f64.sqrt()];
+        assert_eq!(res.subspace_dim, 3);
+        assert!(max_residual(&a, &res) <= 1e-12);
+        for (v, w) in res.eigenvalues.iter().zip(want) {
+            assert!((v - w).abs() < 1e-12, "{v} vs {w}");
+        }
     }
 
     #[test]
@@ -358,6 +481,30 @@ mod tests {
         let r1 = lanczos(&a, &LanczosOptions::top(2));
         let r2 = lanczos(&a, &LanczosOptions::top(2));
         assert_eq!(r1.eigenvalues, r2.eigenvalues);
+    }
+
+    #[test]
+    fn bit_identical_across_thread_counts() {
+        // n = 300 spreads the matvec panels and the Ritz lift over every
+        // worker; k = 6 grows the space past several checks.
+        let a = random_symmetric(300, 3);
+        let run = |threads| {
+            dasc_pool::Pool::new(threads).install(|| lanczos(&a, &LanczosOptions::top(6)))
+        };
+        let reference = run(1);
+        assert!(max_residual(&a, &reference) <= 1e-8 * reference.eigenvalues[0].abs());
+        for threads in [2, 4] {
+            let got = run(threads);
+            assert_eq!(got.eigenvalues, reference.eigenvalues, "{threads} threads");
+            assert_eq!(
+                got.eigenvectors, reference.eigenvectors,
+                "{threads} threads"
+            );
+            assert_eq!(
+                got.subspace_dim, reference.subspace_dim,
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -15,13 +15,13 @@
 //! * [`symmetric_eigen_topk`] — the `k` leading eigenpairs from the same
 //!   reduction: eigenvalues-only QL, inverse iteration on the
 //!   tridiagonal, and a back-transform of just those `k` vectors.
-//! * [`lanczos`](fn@lanczos) — Lanczos iteration with full
+//! * [`lanczos`](fn@lanczos) — block Lanczos iteration with full
 //!   reorthogonalization for the leading eigenpairs of any [`MatVec`]
 //!   operator (PARPACK substitute).
 //! * [`qr`](fn@qr) — Householder QR, the NYST baseline's
 //!   orthonormalization.
 //!
-//! Every dense eigensolve and the Lanczos Ritz step share one
+//! Every dense eigensolve and the Lanczos Rayleigh–Ritz step share one
 //! Householder reduction and one QL loop, both crate-private. Only what
 //! the spectral pipelines call lives here: there is no general-purpose
 //! solver (Cholesky, SVD) on the paper's path.
@@ -60,7 +60,7 @@ pub use dense::Matrix;
 pub use eigen::{symmetric_eigen, SymmetricEigen};
 pub use eigen_k::{symmetric_eigen_topk, TopEigen};
 pub use gemm::{abt_into, pairwise_sq_dists, row_sq_norms, row_sq_norms_flat, sq_dists_into};
-pub use lanczos::{lanczos, lanczos_block, LanczosOptions, LanczosResult};
+pub use lanczos::{lanczos, LanczosOptions, LanczosResult};
 pub use operator::MatVec;
 pub use points::{FlatPoints, FlatPointsView, PointsView};
 pub use qr::{qr, QrDecomposition};
