@@ -3,7 +3,8 @@
 //!
 //! ```text
 //! dasc cluster  --input pts.csv --k 8 [--algorithm dasc] [--sigma 0.2]
-//!               [--bits M] [--labels-last-column] [--output out.csv]
+//!               [--bits M] [--seed 42] [--labels-last-column]
+//!               [--output out.csv] [--dist local|host:port]
 //! dasc generate --kind blobs|wiki|grid --n 1000 [--d 64] [--k 8]
 //!               [--seed 42] --output pts.csv
 //! dasc train    --input pts.csv --k 8 --model-out m.dasc [--sigma 0.2]
@@ -72,10 +73,12 @@ pub enum Command {
         stage_timings: bool,
         /// Write a Chrome trace-event JSON of the run's stage spans.
         trace_out: Option<String>,
-        /// Run the distributed engine: `local` = in-process simulation,
-        /// anything else = a coordinator address to submit the job to.
+        /// Run the DASC job on a coordinator and its workers: `local` =
+        /// a coordinator plus four workers started in this process (the
+        /// paper's lab cluster), anything else = the address of a
+        /// running coordinator. Labels match a run without `--dist`.
         dist: Option<String>,
-        /// RNG seed override (pins bucket clustering across runs).
+        /// RNG seed for every algorithm; `None` = each config's default.
         seed: Option<u64>,
     },
     /// Generate a demo dataset as CSV.

@@ -10,7 +10,7 @@ use dasc_core::{
     PscConfig, SpectralClustering, SpectralConfig,
 };
 use dasc_data::{dataset_from_store, pack_csv_to_store, SyntheticConfig, WikiCorpusConfig};
-use dasc_dist::{Coordinator, JobClient, JobData, JobSpec, WorkerOptions};
+use dasc_dist::{Coordinator, JobClient, JobData, JobSpec, WorkerHandle, WorkerOptions};
 use dasc_kernel::Kernel;
 use dasc_lsh::{LshConfig, Signature};
 use dasc_mapreduce::ClusterConfig;
@@ -47,33 +47,20 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             trace_out,
             dist,
             seed,
-        } => match dist.as_deref() {
-            Some(target) => cluster_dist(
-                input.as_deref(),
-                data.as_deref(),
-                output.as_deref(),
-                *k,
-                *algorithm,
-                *sigma,
-                *bits,
-                *seed,
-                *labels_last_column,
-                trace_out.as_deref(),
-                target,
-            ),
-            None => cluster(
-                input.as_deref(),
-                data.as_deref(),
-                output.as_deref(),
-                *k,
-                *algorithm,
-                *sigma,
-                *bits,
-                *labels_last_column,
-                *stage_timings,
-                trace_out.as_deref(),
-            ),
-        },
+        } => cluster(
+            input.as_deref(),
+            data.as_deref(),
+            output.as_deref(),
+            *k,
+            *algorithm,
+            *sigma,
+            *bits,
+            *seed,
+            *labels_last_column,
+            *stage_timings,
+            trace_out.as_deref(),
+            dist.as_deref(),
+        ),
         Command::Train {
             input,
             model_out,
@@ -124,28 +111,73 @@ pub fn run(cmd: &Command) -> Result<String, String> {
     }
 }
 
-/// Load points and optional ground-truth labels from either a CSV
-/// file or a packed `.dstr` store. A store records label presence
-/// itself, so `labels_last_column` only applies to CSV input.
-#[allow(clippy::type_complexity)] // points + optional labels, same shape as csv::read_points
-fn load_points(
+/// Check `--k` and `--bits`, load points and optional ground-truth
+/// labels from either a CSV file or a packed `.dstr` store, and pick
+/// the kernel: a Gaussian of bandwidth `--sigma`, or the median
+/// heuristic's. A store records label presence itself, so
+/// `labels_last_column` only applies to CSV input.
+#[allow(clippy::type_complexity)] // points + optional labels + kernel
+fn load_input(
     input: Option<&str>,
     data: Option<&str>,
     labels_last_column: bool,
-) -> Result<(Vec<Vec<f64>>, Option<Vec<usize>>), String> {
-    match (input, data) {
+    k: usize,
+    sigma: Option<f64>,
+    bits: Option<usize>,
+) -> Result<(Vec<Vec<f64>>, Option<Vec<usize>>, Kernel), String> {
+    if k == 0 {
+        return Err("--k must be at least 1".to_string());
+    }
+    if let Some(m) = bits.filter(|m| !(1..=Signature::MAX_BITS).contains(m)) {
+        return Err(format!(
+            "--bits must be in 1..={}, got {m}",
+            Signature::MAX_BITS
+        ));
+    }
+    let (points, labels) = match (input, data) {
         (Some(path), None) => {
             let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
             csv::read_points(BufReader::new(file), labels_last_column)
-                .map_err(|e| format!("{path}: {e}"))
+                .map_err(|e| format!("{path}: {e}"))?
         }
         (None, Some(dir)) => {
             let reader =
                 StoreReader::open(Path::new(dir)).map_err(|e| format!("open store {dir}: {e}"))?;
             let ds = dataset_from_store(&reader).map_err(|e| format!("read store {dir}: {e}"))?;
-            Ok((ds.points, ds.labels))
+            (ds.points, ds.labels)
         }
-        _ => Err("exactly one of --input / --data is required".to_string()),
+        _ => return Err("exactly one of --input / --data is required".to_string()),
+    };
+    let kernel = match sigma {
+        Some(s) if s > 0.0 => Kernel::gaussian(s),
+        Some(s) => return Err(format!("--sigma must be positive, got {s}")),
+        None => Kernel::gaussian_median_heuristic(&points),
+    };
+    Ok((points, labels, kernel))
+}
+
+/// The DASC configuration of every CLI run: paper defaults for `n`
+/// points, with `--bits` and `--seed` applied.
+fn dasc_config(
+    n: usize,
+    k: usize,
+    kernel: Kernel,
+    bits: Option<usize>,
+    seed: Option<u64>,
+) -> DascConfig {
+    let cfg = DascConfig::for_dataset(n, k).kernel(kernel);
+    let cfg = match bits {
+        Some(m) => cfg.lsh(LshConfig::with_bits(m)),
+        None => cfg,
+    };
+    seeded(cfg, seed, DascConfig::seed)
+}
+
+/// `cfg` with `--seed` applied, or with its own default seed without it.
+fn seeded<C>(cfg: C, seed: Option<u64>, with_seed: fn(C, u64) -> C) -> C {
+    match seed {
+        Some(s) => with_seed(cfg, s),
+        None => cfg,
     }
 }
 
@@ -218,17 +250,18 @@ fn with_tracing<T>(
     Ok((out, extra))
 }
 
-/// `--bits` must name a signature width the LSH model can hold.
-fn check_bits(bits: Option<usize>) -> Result<(), String> {
-    match bits {
-        Some(m) if !(1..=Signature::MAX_BITS).contains(&m) => Err(format!(
-            "--bits must be in 1..={}, got {m}",
-            Signature::MAX_BITS
-        )),
-        _ => Ok(()),
-    }
-}
-
+/// `cluster`: run `algorithm` on the input, then report and write the
+/// assignments. Without `--dist` the run stays in this process. With
+/// `--dist` the DASC job runs on a coordinator and its workers: the
+/// in-process lab cluster for `local` ([`on_local_cluster`]), otherwise
+/// the coordinator at that address. For the same `--seed` every route
+/// writes the same assignments.
+///
+/// A job on a coordinator with `--data <dstr>` is submitted *by
+/// reference*: the spec carries only the store path and content hash,
+/// the coordinator opens the store itself, and tasks ship shard tables
+/// instead of points (the points are still read here once, for the
+/// sigma heuristic and accuracy reporting).
 #[allow(clippy::too_many_arguments)]
 fn cluster(
     input: Option<&str>,
@@ -238,86 +271,52 @@ fn cluster(
     algorithm: Algorithm,
     sigma: Option<f64>,
     bits: Option<usize>,
+    seed: Option<u64>,
     labels_last_column: bool,
     stage_timings: bool,
     trace_out: Option<&str>,
+    dist: Option<&str>,
 ) -> Result<String, String> {
-    if k == 0 {
-        return Err("--k must be at least 1".to_string());
+    if dist.is_some() && algorithm != Algorithm::Dasc {
+        return Err("--dist only supports --algorithm dasc".to_string());
     }
-    check_bits(bits)?;
-    let (points, labels) = load_points(input, data, labels_last_column)?;
+    if dist.is_some() && stage_timings {
+        return Err(
+            "--stage-timings only times single-process runs; with --dist use --trace-out \
+             for the merged cluster trace"
+                .to_string(),
+        );
+    }
+    let (points, labels, kernel) = load_input(input, data, labels_last_column, k, sigma, bits)?;
     let n = points.len();
-    let kernel = match sigma {
-        Some(s) if s > 0.0 => Kernel::gaussian(s),
-        Some(s) => return Err(format!("--sigma must be positive, got {s}")),
-        None => Kernel::gaussian_median_heuristic(&points),
-    };
 
-    let ((assignments, detail), trace_report) = with_tracing(stage_timings, trace_out, || {
-        match algorithm {
-            Algorithm::Dasc => {
-                let mut cfg = DascConfig::for_dataset(n, k).kernel(kernel);
-                if let Some(m) = bits {
-                    cfg = cfg.lsh(LshConfig::with_bits(m));
-                }
-                let res = Dasc::new(cfg).run(&points);
-                (
-                    res.clustering.assignments,
-                    format!(
-                        "dasc: {} buckets, approx gram {} KB (full {} KB)",
-                        res.buckets.len(),
-                        res.approx_gram_bytes / 1024,
-                        4 * n * n / 1024
-                    ),
-                )
-            }
-            Algorithm::Sc => {
-                let res =
-                    SpectralClustering::new(SpectralConfig::new(k).kernel(kernel)).run(&points);
-                (
-                    res.clustering.assignments,
-                    format!("sc: full gram {} KB", res.gram_memory_bytes / 1024),
-                )
-            }
-            Algorithm::Psc => {
-                let res = ParallelSpectral::new(PscConfig::new(k).kernel(kernel)).run(&points);
-                (
-                    res.clustering.assignments,
-                    format!(
-                        "psc: {} nnz, sparse {} KB",
-                        res.nnz,
-                        res.sparse_memory_bytes / 1024
-                    ),
-                )
-            }
-            Algorithm::Nyst => {
-                let res = Nystrom::new(NystromConfig::new(k).kernel(kernel)).run(&points);
-                (
-                    res.clustering.assignments,
-                    format!(
-                        "nyst: {} landmarks, {} KB",
-                        res.landmarks,
-                        res.memory_bytes / 1024
-                    ),
-                )
-            }
-            Algorithm::Stsc => {
-                // Self-tuning: per-point bandwidths (r = 7), so --sigma is
-                // ignored by construction.
-                let s = local_scaling_similarity(&points, 7);
-                let (c, _) =
-                    SpectralClustering::new(SpectralConfig::new(k)).run_on_similarity_owned(s);
-                (
-                    c.assignments,
-                    "stsc: local scaling (r = 7), full similarity matrix".to_string(),
-                )
+    let (assignments, detail) = match dist {
+        None => {
+            let ((assignments, detail), trace_report) =
+                with_tracing(stage_timings, trace_out, || {
+                    run_in_process(&points, algorithm, k, kernel, bits, seed)
+                })?;
+            (assignments, detail + &trace_report)
+        }
+        Some(target) => {
+            let cfg = dasc_config(n, k, kernel, bits, seed);
+            let spec = JobSpec {
+                data: job_data(data, points)?,
+                k: cfg.k,
+                kernel: cfg.kernel,
+                num_bits: cfg.lsh.num_bits,
+                seed: cfg.seed,
+                consolidate: cfg.consolidate,
+                collect_trace: trace_out.is_some(),
+            };
+            match target {
+                "local" => on_local_cluster(|addr| submit(addr, target, spec, trace_out))?,
+                addr => submit(addr, target, spec, trace_out)?,
             }
         }
-    })?;
+    };
 
     let mut report = format!("clustered {n} points into k={k}\n{detail}");
-    report.push_str(&trace_report);
     if let Some(truth) = &labels {
         report.push_str(&format!(
             "\naccuracy: {:.4}\nnmi: {:.4}",
@@ -327,15 +326,14 @@ fn cluster(
     }
 
     match output {
-        Some("-") | None => {
-            // Assignments to stdout only when explicitly requested with
-            // "-"; otherwise just the report.
-            if output == Some("-") {
-                let mut buf = Vec::new();
-                csv::write_assignments(&mut buf, &assignments).map_err(|e| e.to_string())?;
-                report.push('\n');
-                report.push_str(&String::from_utf8_lossy(&buf));
-            }
+        // Assignments go to stdout only when asked for with "-";
+        // otherwise the report stands alone.
+        None => {}
+        Some("-") => {
+            let mut buf = Vec::new();
+            csv::write_assignments(&mut buf, &assignments).map_err(|e| e.to_string())?;
+            report.push('\n');
+            report.push_str(&String::from_utf8_lossy(&buf));
         }
         Some(path) => {
             let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
@@ -349,159 +347,173 @@ fn cluster(
     Ok(report)
 }
 
-/// `cluster --dist`: run the distributed DASC engine — `local` executes
-/// the in-process MapReduce simulation, anything else is a coordinator
-/// address to submit the job to over the wire protocol. Both paths are
-/// bit-identical to each other for the same data and seed.
-///
-/// With `--data <dstr>` and a coordinator target the job is submitted
-/// *by reference*: the spec carries only the store path and content
-/// hash, the coordinator opens the store itself, and tasks ship shard
-/// tables instead of points (the points are still read locally once,
-/// for the sigma heuristic and accuracy reporting).
-#[allow(clippy::too_many_arguments)]
-fn cluster_dist(
-    input: Option<&str>,
-    data: Option<&str>,
-    output: Option<&str>,
-    k: usize,
+/// Run `algorithm` in this process: the assignments plus a one-line
+/// summary of the run.
+fn run_in_process(
+    points: &[Vec<f64>],
     algorithm: Algorithm,
-    sigma: Option<f64>,
+    k: usize,
+    kernel: Kernel,
     bits: Option<usize>,
     seed: Option<u64>,
-    labels_last_column: bool,
-    trace_out: Option<&str>,
-    target: &str,
-) -> Result<String, String> {
-    if algorithm != Algorithm::Dasc {
-        return Err("--dist only supports --algorithm dasc".to_string());
-    }
-    if k == 0 {
-        return Err("--k must be at least 1".to_string());
-    }
-    check_bits(bits)?;
-    let (points, labels) = load_points(input, data, labels_last_column)?;
+) -> (Vec<usize>, String) {
     let n = points.len();
-    let kernel = match sigma {
-        Some(s) if s > 0.0 => Kernel::gaussian(s),
-        Some(s) => return Err(format!("--sigma must be positive, got {s}")),
-        None => Kernel::gaussian_median_heuristic(&points),
-    };
-    let mut cfg = DascConfig::for_dataset(n, k).kernel(kernel);
-    if let Some(m) = bits {
-        cfg = cfg.lsh(LshConfig::with_bits(m));
-    }
-    if let Some(s) = seed {
-        cfg = cfg.seed(s);
-    }
-
-    let (assignments, detail) = if target == "local" {
-        // In-process simulation: the stage spans land on the global
-        // tracer, so the single-process trace machinery applies.
-        let (res, trace_report) = with_tracing(false, trace_out, || {
-            Dasc::new(cfg).run_distributed(&points, &ClusterConfig::emr_default())
-        })?;
-        (
-            res.clustering.assignments,
-            format!(
-                "dist(local): {} buckets, {} map + {} reduce tasks, {} records shuffled{trace_report}",
-                res.buckets.len(),
-                res.stage1.map_task_durations.len(),
-                res.stage2.reduce_task_durations.len(),
-                n,
-            ),
-        )
-    } else {
-        let cluster = ClusterConfig::emr_default();
-        let job_data = match data {
-            // By reference: resolve to an absolute path so the
-            // coordinator finds the store regardless of its own cwd,
-            // and pin the manifest hash so a swapped store is refused.
-            Some(dir) => {
-                let reader = StoreReader::open(Path::new(dir))
-                    .map_err(|e| format!("open store {dir}: {e}"))?;
-                let path = std::fs::canonicalize(dir)
-                    .map(|p| p.to_string_lossy().into_owned())
-                    .unwrap_or_else(|_| dir.to_string());
-                JobData::Ref {
-                    path,
-                    content_hash: reader.manifest().content_hash,
-                }
-            }
-            None => JobData::Inline { points },
-        };
-        let by_ref = matches!(job_data, JobData::Ref { .. });
-        let spec = JobSpec {
-            data: job_data,
-            k: cfg.k,
-            kernel: cfg.kernel,
-            num_bits: bits.unwrap_or(0),
-            seed: cfg.seed,
-            consolidate: cfg.consolidate,
-            collect_trace: trace_out.is_some(),
-        };
-        let mut client = JobClient::connect(target, &cluster);
-        let outcome = client
-            .run(spec, |_, _, _| {})
-            .map_err(|e| format!("distributed job on {target}: {e}"))?;
-        // The coordinator assembled one merged timeline (its own lane
-        // plus one per worker); fetch and persist it.
-        let mut trace_report = String::new();
-        if let Some(path) = trace_out {
-            let job_id = client.last_job_id().expect("job just ran");
-            let json = client
-                .trace_json(job_id)
-                .map_err(|e| format!("fetch trace for job {job_id}: {e}"))?;
-            std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
-            trace_report = format!(
-                "\nmerged cluster trace written to {path} (open in chrome://tracing or Perfetto)"
+    match algorithm {
+        Algorithm::Dasc => {
+            let res = Dasc::new(dasc_config(n, k, kernel, bits, seed)).run(points);
+            (
+                res.clustering.assignments,
+                format!(
+                    "dasc: {} buckets, approx gram {} KB (full {} KB)",
+                    res.buckets.len(),
+                    res.approx_gram_bytes / 1024,
+                    4 * n * n / 1024
+                ),
+            )
+        }
+        Algorithm::Sc => {
+            let cfg = seeded(
+                SpectralConfig::new(k).kernel(kernel),
+                seed,
+                SpectralConfig::seed,
             );
+            let res = SpectralClustering::new(cfg).run(points);
+            (
+                res.clustering.assignments,
+                format!("sc: full gram {} KB", res.gram_memory_bytes / 1024),
+            )
         }
-        let mode = if by_ref { ", shard-addressed" } else { "" };
-        (
-            outcome.assignments,
-            format!(
-                "dist({target}{mode}): {} buckets, {} workers, \
-                 stage1 {:.1} ms, stage2 {:.1} ms, \
-                 {} records / {} bytes shuffled, {} task retries{trace_report}",
-                outcome.num_buckets,
-                outcome.workers_used,
-                outcome.stage1_us as f64 / 1e3,
-                outcome.stage2_us as f64 / 1e3,
-                outcome.shuffle_records,
-                outcome.shuffle_bytes,
-                outcome.task_retries,
-            ),
-        )
-    };
-
-    let mut report = format!("clustered {n} points into k={k}\n{detail}");
-    if let Some(truth) = &labels {
-        report.push_str(&format!(
-            "\naccuracy: {:.4}\nnmi: {:.4}",
-            accuracy(&assignments, truth),
-            nmi(&assignments, truth)
-        ));
+        Algorithm::Psc => {
+            let cfg = seeded(PscConfig::new(k).kernel(kernel), seed, PscConfig::seed);
+            let res = ParallelSpectral::new(cfg).run(points);
+            (
+                res.clustering.assignments,
+                format!(
+                    "psc: {} nnz, sparse {} KB",
+                    res.nnz,
+                    res.sparse_memory_bytes / 1024
+                ),
+            )
+        }
+        Algorithm::Nyst => {
+            let cfg = seeded(
+                NystromConfig::new(k).kernel(kernel),
+                seed,
+                NystromConfig::seed,
+            );
+            let res = Nystrom::new(cfg).run(points);
+            (
+                res.clustering.assignments,
+                format!(
+                    "nyst: {} landmarks, {} KB",
+                    res.landmarks,
+                    res.memory_bytes / 1024
+                ),
+            )
+        }
+        Algorithm::Stsc => {
+            // Self-tuning: per-point bandwidths (r = 7), so --sigma is
+            // ignored by construction.
+            let s = local_scaling_similarity(points, 7);
+            let cfg = seeded(SpectralConfig::new(k), seed, SpectralConfig::seed);
+            let (c, _) = SpectralClustering::new(cfg).run_on_similarity_owned(s);
+            (
+                c.assignments,
+                "stsc: local scaling (r = 7), full similarity matrix".to_string(),
+            )
+        }
     }
-    match output {
-        Some("-") | None => {
-            if output == Some("-") {
-                let mut buf = Vec::new();
-                csv::write_assignments(&mut buf, &assignments).map_err(|e| e.to_string())?;
-                report.push('\n');
-                report.push_str(&String::from_utf8_lossy(&buf));
+}
+
+/// The dataset of a job on a coordinator: the points inline, or with
+/// `--data` a reference to the store.
+fn job_data(data: Option<&str>, points: Vec<Vec<f64>>) -> Result<JobData, String> {
+    Ok(match data {
+        // By reference: resolve to an absolute path so the
+        // coordinator finds the store regardless of its own cwd,
+        // and pin the manifest hash so a swapped store is refused.
+        Some(dir) => {
+            let reader =
+                StoreReader::open(Path::new(dir)).map_err(|e| format!("open store {dir}: {e}"))?;
+            let path = std::fs::canonicalize(dir)
+                .map(|p| p.to_string_lossy().into_owned())
+                .unwrap_or_else(|_| dir.to_string());
+            JobData::Ref {
+                path,
+                content_hash: reader.manifest().content_hash,
             }
         }
-        Some(path) => {
-            let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-            let mut w = BufWriter::new(file);
-            csv::write_assignments(&mut w, &assignments)
-                .and_then(|()| w.flush())
-                .map_err(|e| format!("write {path}: {e}"))?;
-            report.push_str(&format!("\nassignments written to {path}"));
-        }
+        None => JobData::Inline { points },
+    })
+}
+
+/// Run `f` against a coordinator on `127.0.0.1:0` with one in-process
+/// worker per node of the paper's lab cluster
+/// ([`ClusterConfig::local_lab`]: four slaves), and shut the workers and
+/// the coordinator down before returning, whether `f` succeeded or not.
+fn on_local_cluster<T>(f: impl FnOnce(&str) -> Result<T, String>) -> Result<T, String> {
+    let lab = ClusterConfig::local_lab();
+    let coordinator = Coordinator::start("127.0.0.1:0", lab.clone())
+        .map_err(|e| format!("start local coordinator: {e}"))?;
+    let addr = coordinator.addr().to_string();
+    let workers: Vec<_> = (0..lab.nodes)
+        .map(|i| dasc_dist::worker::spawn(&addr, WorkerOptions::named(format!("local-{i}"))))
+        .collect();
+    let out = f(&addr);
+    // A handle the short-circuit leaves behind still stops and joins
+    // its worker when it is dropped.
+    let stopped: Result<Vec<()>, String> =
+        workers.into_iter().map(WorkerHandle::shutdown).collect();
+    coordinator.shutdown();
+    let out = out?;
+    stopped.map_err(|e| format!("local worker: {e}"))?;
+    Ok(out)
+}
+
+/// Submit `spec` to the coordinator at `addr` and wait for the result:
+/// the assignments plus a report line tagged with `target`. With
+/// `trace_out`, fetch the job's merged trace (the coordinator's lane
+/// plus one per worker) and write it there.
+fn submit(
+    addr: &str,
+    target: &str,
+    spec: JobSpec,
+    trace_out: Option<&str>,
+) -> Result<(Vec<usize>, String), String> {
+    let mode = match spec.data {
+        JobData::Ref { .. } => ", shard-addressed",
+        JobData::Inline { .. } => "",
+    };
+    let mut client = JobClient::connect(addr, &ClusterConfig::emr_default());
+    let outcome = client
+        .run(spec, |_, _, _| {})
+        .map_err(|e| format!("distributed job on {target}: {e}"))?;
+    let mut trace_report = String::new();
+    if let Some(path) = trace_out {
+        let job_id = client.last_job_id().expect("job just ran");
+        let json = client
+            .trace_json(job_id)
+            .map_err(|e| format!("fetch trace for job {job_id}: {e}"))?;
+        std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
+        trace_report = format!(
+            "\nmerged cluster trace written to {path} (open in chrome://tracing or Perfetto)"
+        );
     }
-    Ok(report)
+    Ok((
+        outcome.assignments,
+        format!(
+            "dist({target}{mode}): {} buckets, {} workers, \
+             stage1 {:.1} ms, stage2 {:.1} ms, \
+             {} records / {} bytes shuffled, {} task retries{trace_report}",
+            outcome.num_buckets,
+            outcome.workers_used,
+            outcome.stage1_us as f64 / 1e3,
+            outcome.stage2_us as f64 / 1e3,
+            outcome.shuffle_records,
+            outcome.shuffle_bytes,
+            outcome.task_retries,
+        ),
+    ))
 }
 
 /// Run a coordinator daemon until the process is killed. The HTTP
@@ -618,26 +630,10 @@ fn train(
     stage_timings: bool,
     trace_out: Option<&str>,
 ) -> Result<String, String> {
-    if k == 0 {
-        return Err("--k must be at least 1".to_string());
-    }
-    check_bits(bits)?;
-    let file = File::open(input).map_err(|e| format!("open {input}: {e}"))?;
-    let (points, labels) = csv::read_points(BufReader::new(file), labels_last_column)
-        .map_err(|e| format!("{input}: {e}"))?;
+    let (points, labels, kernel) =
+        load_input(Some(input), None, labels_last_column, k, sigma, bits)?;
     let n = points.len();
-    let kernel = match sigma {
-        Some(s) if s > 0.0 => Kernel::gaussian(s),
-        Some(s) => return Err(format!("--sigma must be positive, got {s}")),
-        None => Kernel::gaussian_median_heuristic(&points),
-    };
-    let mut cfg = DascConfig::for_dataset(n, k).kernel(kernel);
-    if let Some(m) = bits {
-        cfg = cfg.lsh(LshConfig::with_bits(m));
-    }
-    if let Some(s) = seed {
-        cfg = cfg.seed(s);
-    }
+    let cfg = dasc_config(n, k, kernel, bits, seed);
 
     let (trained, trace_report) =
         with_tracing(stage_timings, trace_out, || Dasc::new(cfg).train(&points))?;
@@ -1039,65 +1035,102 @@ mod tests {
     }
 
     #[test]
-    fn cluster_dist_local_and_remote_agree() {
-        let data = tmp("dist-pts.csv");
-        let local_out = tmp("dist-local.csv");
-        let remote_out = tmp("dist-remote.csv");
+    fn seed_reaches_plain_local_and_remote_cluster_runs() {
+        // One `--seed`, three places to run: the single-process engine,
+        // the in-process coordinator and workers, and a coordinator over
+        // TCP. All three must write the same bytes.
+        let data = tmp("seed-pts.csv");
         run(&args::parse(&sv(&[
-            "generate", "--kind", "blobs", "--n", "150", "--d", "6", "--k", "3", "--output", &data,
+            "generate", "--kind", "blobs", "--n", "400", "--d", "4", "--k", "6", "--seed", "2",
+            "--output", &data,
         ]))
         .unwrap())
         .unwrap();
 
-        let r = run(&args::parse(&sv(&[
-            "cluster",
-            "--input",
-            &data,
-            "--k",
-            "3",
-            "--seed",
-            "7",
-            "--labels-last-column",
-            "--dist",
-            "local",
-            "--output",
-            &local_out,
-        ]))
-        .unwrap())
-        .unwrap();
-        assert!(r.contains("dist(local)"), "{r}");
-
-        // Same job against a real coordinator + worker over TCP.
         let coord =
             Coordinator::start("127.0.0.1:0", ClusterConfig::emr_default()).expect("coordinator");
         let addr = coord.addr().to_string();
-        let w = dasc_dist::worker::spawn(&addr, WorkerOptions::named("cli-test"));
-        let r = run(&args::parse(&sv(&[
-            "cluster",
-            "--input",
-            &data,
-            "--k",
-            "3",
-            "--seed",
-            "7",
-            "--labels-last-column",
-            "--dist",
-            &addr,
-            "--output",
-            &remote_out,
-        ]))
-        .unwrap())
-        .unwrap();
-        assert!(r.contains(&format!("dist({addr})")), "{r}");
-
-        let local = std::fs::read_to_string(&local_out).unwrap();
-        let remote = std::fs::read_to_string(&remote_out).unwrap();
-        assert_eq!(local, remote, "dist assignments diverge from local");
-
+        let w = dasc_dist::worker::spawn(&addr, WorkerOptions::named("cli-seed"));
+        let mut written = Vec::new();
+        for dist in [None, Some("local"), Some(addr.as_str())] {
+            let out = tmp(&format!("seed-out-{}.csv", written.len()));
+            let mut argv = sv(&[
+                "cluster",
+                "--input",
+                &data,
+                "--k",
+                "6",
+                "--seed",
+                "7",
+                "--labels-last-column",
+                "--output",
+                &out,
+            ]);
+            if let Some(target) = dist {
+                argv.extend(sv(&["--dist", target]));
+            }
+            let r = run(&args::parse(&argv).unwrap()).unwrap();
+            if let Some(target) = dist {
+                assert!(r.contains(&format!("dist({target}): ")), "{r}");
+            }
+            if dist == Some("local") {
+                // The lab cluster's four in-process workers.
+                assert!(r.contains(" workers, "), "{r}");
+            }
+            written.push(std::fs::read_to_string(&out).unwrap());
+            let _ = std::fs::remove_file(&out);
+        }
         w.shutdown().expect("worker");
         coord.shutdown();
-        for f in [&data, &local_out, &remote_out] {
-            let _ = std::fs::remove_file(f);
+        let _ = std::fs::remove_file(&data);
+
+        for (route, labels) in ["--dist local", "--dist <addr>"].iter().zip(&written[1..]) {
+            let differ = labels
+                .lines()
+                .zip(written[0].lines())
+                .filter(|(a, b)| a != b)
+                .count();
+            assert!(
+                *labels == written[0],
+                "{route}: {differ} assignment lines differ from plain cluster"
+            );
+        }
+    }
+
+    #[test]
+    fn local_cluster_is_shut_down_when_the_job_fails() {
+        let mut seen = String::new();
+        let e = on_local_cluster(|addr| {
+            seen = addr.to_string();
+            Err::<(), _>("job failed".to_string())
+        })
+        .unwrap_err();
+        assert_eq!(e, "job failed");
+        // The coordinator's listener is closed, and every worker handle
+        // was joined before `on_local_cluster` returned.
+        assert!(
+            std::net::TcpStream::connect(&seen).is_err(),
+            "{seen} still open"
+        );
+    }
+
+    #[test]
+    fn stage_timings_with_dist_is_an_error_pointing_at_trace_out() {
+        for target in ["local", "127.0.0.1:1"] {
+            let e = run(&args::parse(&sv(&[
+                "cluster",
+                "--input",
+                "whatever.csv",
+                "--k",
+                "2",
+                "--stage-timings",
+                "--dist",
+                target,
+            ]))
+            .unwrap())
+            .unwrap_err();
+            assert!(e.contains("--stage-timings"), "{e}");
+            assert!(e.contains("--trace-out"), "{e}");
         }
     }
 

@@ -239,16 +239,7 @@ impl Dasc {
     /// # Panics
     /// Panics on an empty dataset.
     pub fn run_distributed(&self, points: &[Vec<f64>], cluster: &ClusterConfig) -> DascResult {
-        self.train_distributed(points, cluster).result
-    }
-
-    /// [`Dasc::run_distributed`], keeping the fitted signature model and
-    /// per-point signatures for artifact export.
-    ///
-    /// # Panics
-    /// Panics on an empty dataset.
-    pub fn train_distributed(&self, points: &[Vec<f64>], cluster: &ClusterConfig) -> DascTrained {
-        self.execute(points, cluster)
+        self.execute(points, cluster).result
     }
 
     /// The one DASC pipeline, as the paper's two MapReduce stages on the

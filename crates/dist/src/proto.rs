@@ -49,7 +49,7 @@
 
 use dasc_kernel::Kernel;
 use dasc_lsh::HashPlane;
-use dasc_net::{Wire, WireError, WireReader, WireWriter};
+use dasc_net::{encode_to_vec, Wire, WireError, WireReader, WireWriter};
 use dasc_obs::{HistogramSnapshot, MetricsSnapshot, SpanRecord, HISTOGRAM_BUCKETS};
 use dasc_store::format::{decode_manifest, encode_manifest};
 use dasc_store::DatasetManifest;
@@ -617,40 +617,14 @@ impl Wire for TaskKind {
     }
 }
 
-/// Wire bytes of a task body: the encoded length of `kind`, computed
-/// from its shape without encoding it (counted once per task at build
-/// time; a retried task re-ships but isn't re-counted). Inline tasks
-/// carry their points; store tasks carry only the hash planes or
-/// member ids plus a manifest — the gap between the two is the shuffle
-/// saving the dataset store buys, and it is what
+/// Wire bytes of a task body: the encoded length of `kind` (counted
+/// once per task at build time; a retried task re-ships but isn't
+/// re-counted). Inline tasks carry their points; store tasks carry only
+/// the hash planes or member ids plus a manifest — the gap between the
+/// two is the shuffle saving the dataset store buys, and it is what
 /// `JobOutcome::shuffle_bytes` measures alongside the output volume.
 pub(crate) fn task_input_volume(kind: &TaskKind) -> u64 {
-    // Each term mirrors one field of the encoders above: a u8 tag, u64
-    // scalars, u32-prefixed sequences of 16-byte planes, u64 ids and
-    // f64 rows.
-    let (fields, rows) = match kind {
-        TaskKind::MapSignatures { planes, rows, .. } => (4 + 16 * planes.len() + 16, rows),
-        TaskKind::ReduceBucket {
-            kernel,
-            members,
-            rows,
-            ..
-        } => {
-            let kernel_len = match kernel {
-                Kernel::Linear => 1,
-                Kernel::Gaussian { .. } | Kernel::Laplacian { .. } => 9,
-                Kernel::Polynomial { .. } => 13,
-            };
-            (16 + kernel_len + 8 + 4 + 8 * members.len(), rows)
-        }
-    };
-    let rows_len = match rows {
-        TaskRows::Inline(points) => 4 + points.iter().map(|p| 4 + 8 * p.len()).sum::<usize>(),
-        // A blob prefix plus the manifest file: 36 header bytes, 24 per
-        // shard, and the trailing content hash.
-        TaskRows::Store(m) => 4 + 44 + 24 * m.shards.len(),
-    };
-    (2 + fields + rows_len) as u64
+    encode_to_vec(kind).len() as u64
 }
 
 impl Wire for Task {
@@ -905,7 +879,6 @@ impl Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dasc_net::encode_to_vec;
     use dasc_store::format::shard_byte_len;
     use dasc_store::ShardMeta;
 
@@ -1224,32 +1197,6 @@ mod tests {
         for (task, want) in sample_tasks().into_iter().zip(golden) {
             let got = hex(&Msg::AssignTask { task }.encode_payload());
             assert_eq!(got, want.replace(' ', ""));
-        }
-    }
-
-    #[test]
-    fn task_input_volume_is_the_encoded_body_length() {
-        for task in sample_tasks() {
-            assert_eq!(
-                task_input_volume(&task.kind),
-                encode_to_vec(&task.kind).len() as u64,
-                "{task:?}"
-            );
-        }
-        for kernel in [
-            Kernel::Linear,
-            Kernel::Polynomial { degree: 3, c: 1.0 },
-            Kernel::Laplacian { gamma: 0.3 },
-        ] {
-            let kind = TaskKind::ReduceBucket {
-                bucket_id: 0,
-                ki: 1,
-                kernel,
-                seed: 1,
-                members: vec![0],
-                rows: TaskRows::Inline(vec![vec![1.0; 3]]),
-            };
-            assert_eq!(task_input_volume(&kind), encode_to_vec(&kind).len() as u64);
         }
     }
 

@@ -45,8 +45,8 @@ use crate::proto::{Msg, Task, TaskKind, TaskOutput, TaskRows};
 pub struct WorkerOptions {
     /// Human-readable name reported at registration.
     pub name: String,
-    /// Cluster knobs: RPC timeouts and backoff.
-    /// configuration for executing task bodies.
+    /// Cluster knobs the worker reads: RPC timeouts and reconnect
+    /// backoff for its connections to the coordinator.
     pub cluster: ClusterConfig,
     /// Fault injection: accept this many task assignments, then drop
     /// every connection and stop without completing the last one.

@@ -140,8 +140,7 @@ impl From<DecodeError> for ArtifactError {
 }
 
 impl ModelArtifact {
-    /// Snapshot a training run ([`dasc_core::Dasc::train`] or
-    /// [`dasc_core::Dasc::train_distributed`]).
+    /// Snapshot a training run ([`dasc_core::Dasc::train`]).
     ///
     /// `points` must be the training set the run was produced from —
     /// centroids are computed here, in input space.

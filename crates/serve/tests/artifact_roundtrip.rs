@@ -162,29 +162,6 @@ fn missing_file_is_io_error() {
 }
 
 #[test]
-fn distributed_training_exports_equivalent_artifact() {
-    use dasc_mapreduce::ClusterConfig;
-    let pts = blob_points();
-    let cfg = DascConfig::for_dataset(pts.len(), 4)
-        .kernel(Kernel::gaussian(0.15))
-        .lsh(LshConfig::with_bits(2))
-        .seed(7);
-    let serial = Dasc::new(cfg.clone()).train(&pts);
-    let dist = Dasc::new(cfg).train_distributed(&pts, &ClusterConfig::single_node());
-    let a = ModelArtifact::from_trained(&serial, &pts);
-    let b = ModelArtifact::from_trained(&dist, &pts);
-    // Deterministic engine: serial and distributed training produce the
-    // same online model.
-    assert_eq!(a.signature_table, b.signature_table);
-    assert_eq!(a.planes, b.planes);
-    let ea = AssignmentEngine::new(&a);
-    let eb = AssignmentEngine::new(&b);
-    for p in &pts {
-        assert_eq!(ea.assign(p).cluster, eb.assign(p).cluster);
-    }
-}
-
-#[test]
 fn artifact_bytes_match_golden() {
     // A hand-built one-bucket model with every config field pinned, so
     // the bytes depend on the codec alone, not on training numerics or

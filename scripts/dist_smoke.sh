@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the distributed runtime:
 #   generate synthetic blobs → start 1 coordinator + 2 workers as real
-#   OS processes → run `cluster --dist` against the coordinator → diff
-#   the assignments against single-process `--dist local` → pack a
-#   larger dataset into a .dstr store and submit it BY REFERENCE
-#   (shard-addressed tasks, workers pull shards through their caches)
-#   with --trace-out while killing one worker mid-job and verify the
-#   job still completes bit-identical to the inline single-process run,
+#   OS processes → run `cluster --dist` against the coordinator and
+#   `cluster --dist local` (coordinator + workers in one process) → diff
+#   both against plain `cluster` with the same --seed, the single-process
+#   engine → pack a larger dataset into a .dstr store and submit it BY
+#   REFERENCE (shard-addressed tasks, workers pull shards through their
+#   caches) with --trace-out while killing one worker mid-job and verify
+#   the job still completes bit-identical to the single-process run,
 #   the merged Chrome trace spans the coordinator plus both worker
 #   lanes with the killed worker's task visible as a retried event →
 #   scrape the federated metrics over both the wire protocol and the
@@ -83,23 +84,28 @@ done
 
 echo "== distributed vs single-process =="
 "$DASC" cluster --input "$WORK/pts.csv" --k 4 --seed 11 --labels-last-column \
+    --output "$WORK/single.csv" | tee "$WORK/single.log"
+
+"$DASC" cluster --input "$WORK/pts.csv" --k 4 --seed 11 --labels-last-column \
     --dist "$ADDR" --output "$WORK/dist.csv" | tee "$WORK/dist.log"
 grep -q "dist($ADDR)" "$WORK/dist.log" || fail "distributed run produced no dist report"
 
 "$DASC" cluster --input "$WORK/pts.csv" --k 4 --seed 11 --labels-last-column \
     --dist local --output "$WORK/local.csv" | tee "$WORK/local.log"
-grep -q 'dist(local)' "$WORK/local.log" || fail "local run produced no dist report"
+grep -q 'dist(local)' "$WORK/local.log" || fail "in-process runtime produced no dist report"
 
-diff -q "$WORK/dist.csv" "$WORK/local.csv" \
-    || fail "distributed assignments differ from single-process"
-echo "assignments bit-identical across 2 workers vs single process"
+diff -q "$WORK/dist.csv" "$WORK/single.csv" \
+    || fail "2-worker assignments differ from the single-process engine"
+diff -q "$WORK/local.csv" "$WORK/single.csv" \
+    || fail "--dist local assignments differ from the single-process engine"
+echo "assignments bit-identical: 2 workers, --dist local and the single-process engine"
 
 echo "== pack a store for the shard-addressed job =="
-"$DASC" generate --kind blobs --n 12000 --d 24 --k 6 --seed 23 \
+"$DASC" generate --kind blobs --n 20000 --d 96 --k 6 --seed 23 \
     --output "$WORK/big.csv"
 "$DASC" pack --input "$WORK/big.csv" --output "$WORK/big.dstr" \
     --shard-rows 2048 --labels-last-column | tee "$WORK/pack.log"
-grep -q 'packed 12000 rows' "$WORK/pack.log" || fail "pack reported wrong row count"
+grep -q 'packed 20000 rows' "$WORK/pack.log" || fail "pack reported wrong row count"
 "$DASC" inspect --data "$WORK/big.dstr" | tee "$WORK/inspect.log"
 grep -q 'checksums     all' "$WORK/inspect.log" || fail "inspect did not verify checksums"
 
@@ -162,14 +168,14 @@ cat "$WORK/big-dist.log"
 grep -q 'shard-addressed' "$WORK/big-dist.log" \
     || fail "packed-store job did not run shard-addressed"
 
-# Label diff vs the inline path: the same dataset from its CSV through
-# the single-process engine must match the shard-addressed job that
+# Label diff vs the single-process engine: the same dataset from its
+# CSV through plain `cluster` must match the shard-addressed job that
 # lost a worker mid-flight.
 "$DASC" cluster --input "$WORK/big.csv" --k 6 --seed 23 --labels-last-column \
-    --dist local --output "$WORK/big-local.csv" >/dev/null
-diff -q "$WORK/big-dist.csv" "$WORK/big-local.csv" \
-    || fail "shard-addressed assignments diverged from inline after the worker kill"
-echo "shard-addressed assignments bit-identical to inline despite a killed worker"
+    --output "$WORK/big-single.csv" >/dev/null
+diff -q "$WORK/big-dist.csv" "$WORK/big-single.csv" \
+    || fail "shard-addressed assignments diverged from single-process after the worker kill"
+echo "shard-addressed assignments bit-identical to single-process despite a killed worker"
 
 echo "== merged cluster trace =="
 [ -s "$WORK/trace.json" ] || fail "traced run wrote no trace.json"
