@@ -7,18 +7,6 @@ use dasc_net::{Client, ClientConfig};
 
 use crate::proto::{stage, JobOutcome, JobSpec, Msg};
 
-/// Derive `dasc-net` client tuning from the shared cluster knob set.
-pub fn client_config(cluster: &ClusterConfig) -> ClientConfig {
-    ClientConfig {
-        connect_timeout: cluster.rpc_connect_timeout,
-        read_timeout: cluster.rpc_read_timeout,
-        write_timeout: cluster.rpc_write_timeout,
-        backoff_base: cluster.rpc_backoff_base,
-        backoff_max: cluster.rpc_backoff_max,
-        max_connect_attempts: cluster.rpc_max_connect_attempts,
-    }
-}
-
 /// One typed request/reply round trip.
 pub fn rpc(client: &mut Client, msg: &Msg) -> Result<Msg, String> {
     let reply = client
@@ -36,11 +24,11 @@ pub struct JobClient {
 }
 
 impl JobClient {
-    /// Client for the coordinator at `addr`, with RPC tuning from the
-    /// shared cluster knobs.
+    /// Client for the coordinator at `addr`, polling at half of
+    /// `cluster`'s heartbeat; RPC tuning is `dasc-net`'s default.
     pub fn connect(addr: impl Into<String>, cluster: &ClusterConfig) -> Self {
         Self {
-            client: Client::new(addr, client_config(cluster)),
+            client: Client::new(addr, ClientConfig::default()),
             poll_interval: cluster.heartbeat_interval / 2,
             last_job_id: None,
         }

@@ -29,11 +29,14 @@
 //! worker count, task interleaving, or mid-job worker deaths.
 //!
 //! Fault tolerance is Hadoop-shaped: workers heartbeat; a worker silent
-//! past `worker_liveness_timeout` (or whose task connection drops) is
+//! for `WORKER_LIVENESS_TIMEOUT` (5 s), or whose task connection drops, is
 //! declared dead and its in-flight tasks re-queue with `attempt + 1`;
-//! a task exhausting `max_task_attempts` fails the job. Stale results
+//! a task exhausting `MAX_TASK_ATTEMPTS` (4) fails the job. Stale results
 //! from resurrected attempts are ignored unless the reporting worker
-//! still owns the in-flight entry.
+//! still owns the in-flight entry. A worker id the coordinator does not
+//! know (declared dead, or registered with an earlier coordinator on
+//! this address) is refused a task with a `JobError`, and the worker
+//! registers again under a new id.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io;
@@ -49,7 +52,7 @@ use dasc_core::{
 use dasc_linalg::PointsView;
 use dasc_lsh::{BucketSet, LshConfig, Signature, SignatureModel};
 use dasc_mapreduce::{split_ranges, ClusterConfig};
-use dasc_net::{ConnId, Server, ServerConfig, ServerHandle, Service};
+use dasc_net::{ConnId, Server, ServerHandle, Service};
 use dasc_obs::{labeled, span, InstantRecord, MetricsSnapshot, SpanRecord, TraceLane};
 use dasc_store::StoreReader;
 
@@ -70,6 +73,15 @@ const STRAGGLER_MIN_US: u64 = 1_000;
 const TASK_DURATION_WINDOW: usize = 256;
 /// Don't flag stragglers until the median rests on this many samples.
 const STRAGGLER_MIN_SAMPLES: usize = 3;
+/// How long a worker may go silent before it is declared dead and its
+/// in-flight tasks re-queue (Hadoop's
+/// `mapred.tasktracker.expiry.interval`). A killed worker is usually
+/// caught sooner, when its task connection drops.
+const WORKER_LIVENESS_TIMEOUT: Duration = Duration::from_secs(5);
+/// Attempts per task before the job fails (Hadoop's
+/// `mapred.map.max.attempts`, default 4). An attempt fails by the
+/// worker dying or reporting an error.
+const MAX_TASK_ATTEMPTS: u32 = 4;
 
 /// A running coordinator.
 pub struct Coordinator {
@@ -87,13 +99,7 @@ impl Coordinator {
                 cluster,
             }),
         };
-        let server = Server::new(
-            service,
-            ServerConfig {
-                read_timeout: Duration::from_millis(200),
-            },
-        )
-        .start(addr)?;
+        let server = Server::new(service).start(addr)?;
         Ok(Coordinator { server, http: None })
     }
 
@@ -337,7 +343,7 @@ impl SharedState {
     /// visible in the merged timeline.
     fn requeue(&self, state: &mut State, mut task: Task, why: String) {
         let attempts = state.attempts.get(&task.task_id).copied().unwrap_or(1);
-        if attempts >= self.cluster.max_task_attempts as u32 {
+        if attempts >= MAX_TASK_ATTEMPTS {
             if let Some(tr) = state.traces.get_mut(&task.job_id) {
                 tr.mark(format!(
                     "task {} dead after {attempts} attempts",
@@ -530,11 +536,10 @@ impl SharedState {
                 .expect("state");
             state = next;
             // The sweep needs the lock we hold; do it inline.
-            let timeout = self.cluster.worker_liveness_timeout;
             let silent: Vec<u64> = state
                 .workers
                 .iter()
-                .filter(|(_, w)| w.last_seen.elapsed() > timeout)
+                .filter(|(_, w)| w.last_seen.elapsed() > WORKER_LIVENESS_TIMEOUT)
                 .map(|(&id, _)| id)
                 .collect();
             for id in silent {
@@ -645,10 +650,10 @@ impl CoordinatorService {
             Msg::RequestTask { worker_id } => {
                 let mut state = shared.inner.lock().expect("state");
                 let Some(w) = state.workers.get_mut(&worker_id) else {
-                    // Unknown (e.g. previously declared dead): make it
-                    // back off; re-registration is its own call.
-                    return Msg::NoTask {
-                        backoff_ms: shared.cluster.heartbeat_interval.as_millis() as u64,
+                    // Declared dead, or registered with an earlier
+                    // coordinator: refuse, and the worker registers again.
+                    return Msg::JobError {
+                        message: format!("unknown worker {worker_id}; register again"),
                     };
                 };
                 w.last_seen = Instant::now();

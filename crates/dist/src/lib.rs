@@ -16,8 +16,14 @@
 //! granularity or arrival order. A distributed run therefore produces
 //! bit-identical assignments to a single-process run of the same
 //! [`JobSpec`] — with any number of workers, and even when workers die
-//! mid-job and their tasks are retried elsewhere (Hadoop-style
-//! `max_task_attempts` budget from `ClusterConfig`).
+//! mid-job and their tasks are retried elsewhere (a Hadoop-style budget
+//! of four attempts per task, fixed in the coordinator).
+//!
+//! The settable surface is small: [`ClusterConfig`](dasc_mapreduce::ClusterConfig)
+//! describes the cluster (nodes, slots, split sizing, speculation cap,
+//! heartbeat), [`WorkerOptions`] names a worker and can make it die on
+//! purpose for fault tests, and every RPC connection uses
+//! `dasc_net::ClientConfig::default()`.
 //!
 //! Datasets travel either inline in the submission
 //! ([`JobData::Inline`]) or as a reference to a packed `.dstr` store on
@@ -34,7 +40,7 @@ pub mod httpd;
 pub mod proto;
 pub mod worker;
 
-pub use client::{client_config, rpc, JobClient};
+pub use client::{rpc, JobClient};
 pub use coordinator::Coordinator;
 pub use httpd::HttpHandle;
 pub use proto::{JobData, JobOutcome, JobSpec, Msg, MsgType, Task, TaskKind, TaskOutput, TaskRows};

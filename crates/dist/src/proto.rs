@@ -109,14 +109,16 @@ pub enum Msg {
     },
     /// Worker liveness ping (sent on a dedicated connection),
     /// piggybacking the worker's current metrics snapshot for
-    /// coordinator-side federation (empty when telemetry is off).
+    /// coordinator-side federation.
     Heartbeat {
         worker_id: u64,
         metrics: MetricsSnapshot,
     },
     /// Heartbeat reply.
     HeartbeatAck,
-    /// Worker asks for work (the Hadoop pull model).
+    /// Worker asks for work (the Hadoop pull model). An id the
+    /// coordinator does not know gets a [`JobError`](Msg::JobError),
+    /// and the worker registers again.
     RequestTask { worker_id: u64 },
     /// Coordinator hands out one task.
     AssignTask { task: Task },

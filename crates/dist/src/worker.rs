@@ -2,10 +2,15 @@
 //!
 //! On start the worker registers, spawns a heartbeat thread on its own
 //! connection, then loops: `RequestTask` → execute → `TaskDone` (or
-//! `TaskFailed` if the task body panicked or failed). Task bodies are
-//! the stage bodies of `dasc_core::stages`, the same functions
-//! every `Dasc` entry point runs, so the numerics are shared code with
-//! the single-process path:
+//! `TaskFailed` if the task body panicked or failed). A coordinator that
+//! no longer knows the worker's id (it declared the worker lost, or it
+//! restarted) refuses `RequestTask` with a `JobError`; the worker then
+//! stops that registration's heartbeat, registers again under a new id
+//! and carries on pulling.
+//!
+//! Task bodies are the stage bodies of `dasc_core::stages`, the same
+//! functions every `Dasc` entry point runs, so the numerics are shared
+//! code with the single-process path:
 //!
 //! * `MapSignatures` → [`dasc_core::map_signatures`] (Algorithm 1);
 //! * `ReduceBucket` → [`dasc_core::reduce_bucket`] (Algorithm 2 plus
@@ -32,12 +37,11 @@ use std::time::Duration;
 use dasc_core::{map_signatures, reduce_bucket, LANCZOS_THRESHOLD};
 use dasc_linalg::FlatPoints;
 use dasc_lsh::SignatureModel;
-use dasc_mapreduce::ClusterConfig;
 use dasc_net::{Client, ClientConfig};
-use dasc_obs::{labeled, MetricsSnapshot, SpanRecord, Tracer};
+use dasc_obs::{labeled, SpanRecord, Tracer};
 use dasc_store::{DatasetManifest, Shard, ShardCache, StoreError};
 
-use crate::client::{client_config, rpc};
+use crate::client::rpc;
 use crate::proto::{Msg, Task, TaskKind, TaskOutput, TaskRows};
 
 /// Worker behaviour knobs.
@@ -45,27 +49,17 @@ use crate::proto::{Msg, Task, TaskKind, TaskOutput, TaskRows};
 pub struct WorkerOptions {
     /// Human-readable name reported at registration.
     pub name: String,
-    /// Cluster knobs the worker reads: RPC timeouts and reconnect
-    /// backoff for its connections to the coordinator.
-    pub cluster: ClusterConfig,
     /// Fault injection: accept this many task assignments, then drop
     /// every connection and stop without completing the last one.
     pub die_after_assignments: Option<usize>,
-    /// Ship this worker's metrics snapshot on every heartbeat for
-    /// coordinator-side federation (benches turn it off to measure the
-    /// observability overhead).
-    pub telemetry: bool,
 }
 
 impl WorkerOptions {
-    /// Defaults: single-node cluster knobs, telemetry on, no fault
-    /// injection.
+    /// A worker called `name`, with no fault injection.
     pub fn named(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
-            cluster: ClusterConfig::single_node(),
             die_after_assignments: None,
-            telemetry: true,
         }
     }
 }
@@ -78,18 +72,16 @@ impl WorkerOptions {
 pub struct ShardSource {
     cache: ShardCache,
     addr: String,
-    config: ClientConfig,
     client: Mutex<Option<Client>>,
 }
 
 impl ShardSource {
     /// Resolver fetching from the coordinator at `addr`, cache sized
     /// from `DASC_SHARD_CACHE_BYTES` (default 256 MiB).
-    pub fn new(addr: impl Into<String>, cluster: &ClusterConfig) -> Self {
+    pub fn new(addr: impl Into<String>) -> Self {
         Self {
             cache: ShardCache::from_env(),
             addr: addr.into(),
-            config: client_config(cluster),
             client: Mutex::new(None),
         }
     }
@@ -115,8 +107,9 @@ impl ShardSource {
                 meta,
                 || {
                     let mut guard = self.client.lock().expect("shard client");
-                    let client = guard
-                        .get_or_insert_with(|| Client::new(self.addr.clone(), self.config.clone()));
+                    let client = guard.get_or_insert_with(|| {
+                        Client::new(self.addr.clone(), ClientConfig::default())
+                    });
                     let req = Msg::ShardRequest {
                         dataset: manifest.content_hash,
                         shard: index as u32,
@@ -200,69 +193,80 @@ pub fn run_worker(
     options: &WorkerOptions,
     stop: &Arc<AtomicBool>,
 ) -> Result<(), String> {
-    let config = client_config(&options.cluster);
-    let mut client = Client::new(coordinator_addr, config.clone());
+    let mut client = Client::new(coordinator_addr, ClientConfig::default());
+    let shard_source = ShardSource::new(coordinator_addr);
+    let mut assignments_taken = 0usize;
+    loop {
+        let (worker_id, heartbeat_interval_ms) = match rpc(
+            &mut client,
+            &Msg::Register {
+                name: options.name.clone(),
+            },
+        )? {
+            Msg::RegisterAck {
+                worker_id,
+                heartbeat_interval_ms,
+            } => (worker_id, heartbeat_interval_ms),
+            other => return Err(format!("unexpected register reply: {other:?}")),
+        };
 
-    let (worker_id, heartbeat_interval_ms) = match rpc(
-        &mut client,
-        &Msg::Register {
-            name: options.name.clone(),
-        },
-    )? {
-        Msg::RegisterAck {
+        // Heartbeats ride a dedicated connection so a long-running task
+        // body never starves liveness. Each registration has its own
+        // heartbeat thread, stopped when that registration ends.
+        let beating = Arc::new(AtomicBool::new(true));
+        let heartbeat = spawn_heartbeat(
+            coordinator_addr.to_string(),
             worker_id,
-            heartbeat_interval_ms,
-        } => (worker_id, heartbeat_interval_ms),
-        other => return Err(format!("unexpected register reply: {other:?}")),
-    };
+            Duration::from_millis(heartbeat_interval_ms.max(10)),
+            Arc::clone(&beating),
+        );
+        let ended = pull_loop(
+            &mut client,
+            worker_id,
+            options,
+            &shard_source,
+            stop,
+            &mut assignments_taken,
+        );
+        // Whatever ended the loop, stop heartbeating under this id so the
+        // coordinator's liveness sweep can reclaim our tasks.
+        beating.store(false, Ordering::SeqCst);
+        let _ = heartbeat.join();
+        match ended {
+            Ok(PullEnd::Forgotten) => continue,
+            Ok(PullEnd::Stopped) => return Ok(()),
+            Err(e) => return Err(e),
+        }
+    }
+}
 
-    // Heartbeats ride a dedicated connection so a long-running task
-    // body never starves liveness.
-    let heartbeat = spawn_heartbeat(
-        coordinator_addr.to_string(),
-        config,
-        worker_id,
-        Duration::from_millis(heartbeat_interval_ms.max(10)),
-        options.telemetry,
-        Arc::clone(stop),
-    );
-
-    let shard_source = ShardSource::new(coordinator_addr, &options.cluster);
-    let result = pull_loop(&mut client, worker_id, options, &shard_source, stop);
-
-    // Whatever ended the loop, stop heartbeating so the coordinator's
-    // liveness sweep can reclaim our tasks.
-    stop.store(true, Ordering::SeqCst);
-    drop(client);
-    let _ = heartbeat.join();
-    result
+/// How a pull loop ended without an error.
+enum PullEnd {
+    /// `stop` was raised, or fault injection tripped.
+    Stopped,
+    /// The coordinator refused our worker id: register again.
+    Forgotten,
 }
 
 fn spawn_heartbeat(
     addr: String,
-    config: ClientConfig,
     worker_id: u64,
     interval: Duration,
-    telemetry: bool,
-    stop: Arc<AtomicBool>,
+    beating: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        let mut client = Client::new(addr, config);
-        while !stop.load(Ordering::SeqCst) {
+        let mut client = Client::new(addr, ClientConfig::default());
+        while beating.load(Ordering::SeqCst) {
             // Failures are fine: the coordinator may be briefly busy or
-            // gone; the pull loop owns the fatal-error decision.
-            // Telemetry piggybacks the full metrics snapshot — the
-            // coordinator re-labels and federates it per worker name.
-            let metrics = if telemetry {
-                dasc_obs::global().snapshot()
-            } else {
-                MetricsSnapshot::default()
-            };
+            // gone; the pull loop owns the fatal-error decision. Each
+            // heartbeat carries the full metrics snapshot, which the
+            // coordinator re-labels and federates per worker name.
+            let metrics = dasc_obs::global().snapshot();
             let _ = rpc(&mut client, &Msg::Heartbeat { worker_id, metrics });
             // Sleep in small slices so shutdown isn't delayed by a
             // long heartbeat interval.
             let deadline = std::time::Instant::now() + interval;
-            while std::time::Instant::now() < deadline && !stop.load(Ordering::SeqCst) {
+            while std::time::Instant::now() < deadline && beating.load(Ordering::SeqCst) {
                 std::thread::sleep(Duration::from_millis(10));
             }
         }
@@ -275,12 +279,12 @@ fn pull_loop(
     options: &WorkerOptions,
     shard_source: &ShardSource,
     stop: &AtomicBool,
-) -> Result<(), String> {
-    let mut assignments_taken = 0usize;
+    assignments_taken: &mut usize,
+) -> Result<PullEnd, String> {
     let mut consecutive_failures = 0usize;
     loop {
         if stop.load(Ordering::SeqCst) {
-            return Ok(());
+            return Ok(PullEnd::Stopped);
         }
         let reply = match rpc(client, &Msg::RequestTask { worker_id }) {
             Ok(r) => {
@@ -292,21 +296,21 @@ fn pull_loop(
                 if consecutive_failures >= 3 {
                     return Err(format!("coordinator unreachable: {e}"));
                 }
-                std::thread::sleep(options.cluster.rpc_backoff_base);
+                std::thread::sleep(ClientConfig::default().backoff_base);
                 continue;
             }
         };
         match reply {
             Msg::AssignTask { task } => {
-                assignments_taken += 1;
+                *assignments_taken += 1;
                 if options
                     .die_after_assignments
-                    .is_some_and(|n| assignments_taken >= n)
+                    .is_some_and(|n| *assignments_taken >= n)
                 {
                     // Simulated crash: vanish with the task in flight.
                     stop.store(true, Ordering::SeqCst);
                     client.disconnect();
-                    return Ok(());
+                    return Ok(PullEnd::Stopped);
                 }
                 let task_id = task.task_id;
                 let report = match execute_task_traced(task, Some(shard_source)) {
@@ -327,6 +331,7 @@ fn pull_loop(
             Msg::NoTask { backoff_ms } => {
                 std::thread::sleep(Duration::from_millis(backoff_ms.clamp(1, 1000)));
             }
+            Msg::JobError { .. } => return Ok(PullEnd::Forgotten),
             other => return Err(format!("unexpected reply to RequestTask: {other:?}")),
         }
     }

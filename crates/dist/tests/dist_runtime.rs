@@ -3,25 +3,25 @@
 //! re-queued, and the job still finishes bit-identical to the
 //! in-process engine.
 
-use std::time::Duration;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use dasc_core::{Dasc, DascConfig};
 use dasc_data::{dataset_to_store, Dataset, SyntheticConfig};
-use dasc_dist::{worker, Coordinator, JobClient, JobData, JobSpec, WorkerOptions};
+use dasc_dist::{rpc, worker, Coordinator, JobClient, JobData, JobSpec, Msg, WorkerOptions};
 use dasc_mapreduce::ClusterConfig;
+use dasc_net::{Client, ClientConfig};
 
-/// Fast-failure-detection cluster knobs for tests: sub-second
-/// heartbeats and liveness so a killed worker is reclaimed quickly.
+/// Cluster knobs for tests: small splits so even small inputs span
+/// several map tasks, and a fast heartbeat so idle workers and job
+/// clients poll often. A killed worker is reclaimed when its task
+/// connection drops, not by the liveness timeout.
 fn test_cluster() -> ClusterConfig {
     let mut c = ClusterConfig::emr(2);
     c.records_per_split = 64;
     c.heartbeat_interval = Duration::from_millis(50);
-    c.worker_liveness_timeout = Duration::from_millis(800);
-    c.rpc_connect_timeout = Duration::from_millis(500);
-    c.rpc_read_timeout = Duration::from_secs(5);
-    c.rpc_write_timeout = Duration::from_secs(5);
-    c.rpc_backoff_base = Duration::from_millis(10);
-    c.rpc_backoff_max = Duration::from_millis(100);
     c
 }
 
@@ -456,5 +456,159 @@ fn consolidation_off_also_matches() {
     assert_eq!(outcome.num_clusters, baseline.clustering.num_clusters);
 
     w.shutdown().expect("w");
+    coordinator.shutdown();
+}
+
+/// Register a raw-protocol worker called `name` on `client`.
+fn register(client: &mut Client, name: &str) -> u64 {
+    match rpc(client, &Msg::Register { name: name.into() }).expect("register") {
+        Msg::RegisterAck { worker_id, .. } => worker_id,
+        other => panic!("unexpected register reply: {other:?}"),
+    }
+}
+
+/// Poll the coordinator at `addr` until it counts `n` registered
+/// workers, failing after 10 s.
+fn wait_for_workers(addr: &str, cluster: &ClusterConfig, n: usize) {
+    let want = format!("dasc_dist_workers_connected {n}");
+    let mut client = JobClient::connect(addr, cluster);
+    let give_up = Instant::now() + Duration::from_secs(10);
+    loop {
+        let text = client.metrics().expect("metrics");
+        if text.lines().any(|l| l == want) {
+            return;
+        }
+        assert!(Instant::now() < give_up, "never saw `{want}` in:\n{text}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn request_task_from_a_lost_worker_is_refused() {
+    let cluster = test_cluster();
+    let coordinator = Coordinator::start("127.0.0.1:0", cluster.clone()).expect("coordinator");
+    let addr = coordinator.addr().to_string();
+
+    // Pulling on connection A makes A the worker's task connection, so
+    // dropping A declares the worker lost.
+    let mut a = Client::new(&addr, ClientConfig::default());
+    let worker_id = register(&mut a, "raw");
+    let reply = rpc(&mut a, &Msg::RequestTask { worker_id }).expect("request on A");
+    assert!(matches!(reply, Msg::NoTask { .. }), "{reply:?}");
+    drop(a);
+    wait_for_workers(&addr, &cluster, 0);
+
+    // The same id on connection B is refused by name, not parked with
+    // `NoTask` forever.
+    let mut b = Client::new(&addr, ClientConfig::default());
+    match rpc(&mut b, &Msg::RequestTask { worker_id }).expect("request on B") {
+        Msg::JobError { message } => assert!(
+            message.contains(&format!("unknown worker {worker_id}")),
+            "{message}"
+        ),
+        other => panic!("a lost worker's request was not refused: {other:?}"),
+    }
+    coordinator.shutdown();
+}
+
+#[test]
+fn worker_rejoins_a_restarted_coordinator() {
+    let points = blobs(300, 3);
+    let config = DascConfig::for_dataset(points.len(), 3);
+    let baseline = Dasc::new(config.clone()).run(&points);
+
+    let cluster = test_cluster();
+    let first = Coordinator::start("127.0.0.1:0", cluster.clone()).expect("first coordinator");
+    let addr = first.addr().to_string();
+    let w = worker::spawn(&addr, WorkerOptions::named("rejoiner"));
+    wait_for_workers(&addr, &cluster, 1);
+
+    // Restart the coordinator on the same address and run a job there.
+    // The worker is the only one, so the job finishes only if it
+    // registers again. The whole restart runs on its own thread and is
+    // bounded, so a worker that never rejoins fails the test.
+    let (tx, rx) = mpsc::channel();
+    {
+        let (addr, cluster, spec) = (addr.clone(), cluster.clone(), spec_for(&points, &config));
+        std::thread::spawn(move || {
+            first.shutdown();
+            let second = Coordinator::start(&addr, cluster.clone()).expect("second coordinator");
+            let outcome = JobClient::connect(&addr, &cluster).run(spec, |_, _, _| {});
+            let _ = tx.send((outcome, second));
+        });
+    }
+    let (outcome, second) = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("job on the restarted coordinator within 30 s");
+    let outcome = outcome.expect("job on the restarted coordinator");
+    assert_eq!(outcome.assignments, baseline.clustering.assignments);
+    assert_eq!(outcome.num_clusters, baseline.clustering.num_clusters);
+    assert!(!w.is_finished(), "the worker outlives the restart");
+
+    w.shutdown().expect("worker");
+    second.shutdown();
+}
+
+#[test]
+fn task_failing_every_attempt_fails_the_job_after_four() {
+    let points = blobs(40, 2);
+    let config = DascConfig::for_dataset(points.len(), 2);
+    let cluster = test_cluster();
+    let coordinator = Coordinator::start("127.0.0.1:0", cluster.clone()).expect("coordinator");
+    let addr = coordinator.addr().to_string();
+
+    // A raw-protocol worker that answers every assignment with
+    // `TaskFailed`, counting assignments per task id.
+    let done = Arc::new(AtomicBool::new(false));
+    let fake = {
+        let (addr, done) = (addr.clone(), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let mut client = Client::new(&addr, ClientConfig::default());
+            let worker_id = register(&mut client, "always-fails");
+            let mut assigned: HashMap<u64, usize> = HashMap::new();
+            while !done.load(Ordering::SeqCst) {
+                match rpc(&mut client, &Msg::RequestTask { worker_id }).expect("request") {
+                    Msg::AssignTask { task } => {
+                        *assigned.entry(task.task_id).or_default() += 1;
+                        let failed = Msg::TaskFailed {
+                            worker_id,
+                            task_id: task.task_id,
+                            error: "injected failure".into(),
+                        };
+                        rpc(&mut client, &failed).expect("report failure");
+                    }
+                    Msg::NoTask { .. } => std::thread::sleep(Duration::from_millis(5)),
+                    other => panic!("unexpected reply: {other:?}"),
+                }
+            }
+            assigned
+        })
+    };
+
+    // `JobClient::run` must return, so bound it.
+    let (tx, rx) = mpsc::channel();
+    {
+        let (addr, cluster, spec) = (addr.clone(), cluster.clone(), spec_for(&points, &config));
+        std::thread::spawn(move || {
+            let _ = tx.send(JobClient::connect(&addr, &cluster).run(spec, |_, _, _| {}));
+        });
+    }
+    let result = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("JobClient::run returns within 30 s");
+    done.store(true, Ordering::SeqCst);
+    let assigned = fake.join().expect("fake worker");
+
+    let err = result.expect_err("a task failing every attempt fails the job");
+    assert!(
+        err.contains("failed after 4 attempts: injected failure"),
+        "{err}"
+    );
+    let task_id: u64 = err
+        .strip_prefix("task ")
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|id| id.parse().ok())
+        .unwrap_or_else(|| panic!("no task id in {err:?}"));
+    assert_eq!(assigned[&task_id], 4, "assignments per task: {assigned:?}");
     coordinator.shutdown();
 }

@@ -17,12 +17,6 @@ fn test_cluster() -> ClusterConfig {
     let mut c = ClusterConfig::emr(2);
     c.records_per_split = 64;
     c.heartbeat_interval = Duration::from_millis(50);
-    c.worker_liveness_timeout = Duration::from_millis(800);
-    c.rpc_connect_timeout = Duration::from_millis(500);
-    c.rpc_read_timeout = Duration::from_secs(5);
-    c.rpc_write_timeout = Duration::from_secs(5);
-    c.rpc_backoff_base = Duration::from_millis(10);
-    c.rpc_backoff_max = Duration::from_millis(100);
     c
 }
 
@@ -78,7 +72,7 @@ fn shard_source_miss_hit_eviction_against_live_coordinator() {
     let evict0 = reg.counter_value("dasc_store_shard_cache_evictions_total");
     let served0 = reg.counter_value("dasc_store_shards_served_total");
 
-    let source = ShardSource::new(addr.clone(), &cluster);
+    let source = ShardSource::new(addr.clone());
     let s0 = source.shard(&manifest, 0).expect("shard 0 fetch");
     assert_eq!(s0.rows(), 16);
     assert_eq!(s0.row(0), &points[0][..]);

@@ -9,11 +9,14 @@ use std::time::Duration;
 /// Field defaults mirror Table 2 of the paper, which lists the Elastic
 /// MapReduce setup: 4 map slots and 2 reduce slots per task tracker.
 ///
-/// The same struct is the single knob set for every executor: the
-/// in-process `Dasc::run_distributed`, the LPT simulator (`sim.rs`),
-/// and the multi-process `dasc-dist` coordinator/worker runtime read
-/// their split sizing, retry budgets, and timeouts from here, so tuning
-/// one place tunes them all.
+/// The struct describes the cluster, not its transport: nodes and
+/// slots, split sizing, the speculation cap and the heartbeat. Every
+/// executor reads the same fields: the in-process
+/// `Dasc::run_distributed`, the LPT simulator (`sim.rs`), and the
+/// multi-process `dasc-dist` coordinator/worker runtime. RPC timeouts
+/// and backoff belong to `dasc-net` (`ClientConfig::default`), and the
+/// runtime's retry budget and liveness timeout are constants beside
+/// the coordinator code that reads them.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClusterConfig {
     /// Number of worker nodes (task trackers / data nodes).
@@ -24,18 +27,8 @@ pub struct ClusterConfig {
     pub reduce_slots_per_node: usize,
     /// Records per input split — the record-level analogue of Hadoop's
     /// block-driven split sizing, so map-task count grows with data
-    /// volume. A floor of [`ClusterConfig::map_waves_per_slot`] waves per
-    /// slot still applies.
+    /// volume. A floor of two map waves per slot still applies.
     pub records_per_split: usize,
-    /// Minimum map waves per slot: small inputs are still cut into at
-    /// least `map_waves_per_slot × total_map_slots` tasks so every slot
-    /// sees work and stragglers can be rebalanced (Hadoop folklore's
-    /// "aim for a couple of waves of maps").
-    pub map_waves_per_slot: usize,
-    /// Attempts per task before the job fails (Hadoop's
-    /// `mapred.map.max.attempts`, default 4). In `dasc-dist` an attempt
-    /// fails by the worker dying or reporting an error.
-    pub max_task_attempts: usize,
     /// Speculative-execution duration cap as a multiple of the normal
     /// task duration: the backup copy launches once the normal duration
     /// elapses, so a straggler completes within `speculation_cap × d`
@@ -43,25 +36,16 @@ pub struct ClusterConfig {
     pub speculation_cap: f64,
     /// Worker → coordinator heartbeat cadence (`dasc-dist`; Hadoop's
     /// tasktracker heartbeat, 3 s at this cluster scale — shrunk here so
-    /// localhost jobs detect death fast).
+    /// localhost jobs detect death fast). Workers learn it at
+    /// registration, and job clients poll at half of it.
     pub heartbeat_interval: Duration,
-    /// How long a worker may go silent before the coordinator declares
-    /// it dead and re-queues its in-flight tasks (Hadoop's
-    /// `mapred.tasktracker.expiry.interval`).
-    pub worker_liveness_timeout: Duration,
-    /// RPC connect timeout for `dasc-net` clients.
-    pub rpc_connect_timeout: Duration,
-    /// RPC read timeout for `dasc-net` clients and servers.
-    pub rpc_read_timeout: Duration,
-    /// RPC write timeout for `dasc-net` clients.
-    pub rpc_write_timeout: Duration,
-    /// First delay of the bounded exponential reconnect backoff.
-    pub rpc_backoff_base: Duration,
-    /// Backoff ceiling for reconnect attempts.
-    pub rpc_backoff_max: Duration,
-    /// Connection attempts before a `dasc-net` client gives up.
-    pub rpc_max_connect_attempts: usize,
 }
+
+/// Minimum map waves per slot: small inputs are still cut into at
+/// least `MAP_WAVES_PER_SLOT × total_map_slots` tasks so every slot
+/// sees work and stragglers can be rebalanced (Hadoop folklore's "aim
+/// for a couple of waves of maps").
+const MAP_WAVES_PER_SLOT: usize = 2;
 
 impl ClusterConfig {
     /// The paper's Amazon Elastic MapReduce setup (Table 2) with the
@@ -73,17 +57,8 @@ impl ClusterConfig {
             map_slots_per_node: 4,
             reduce_slots_per_node: 2,
             records_per_split: 1024,
-            map_waves_per_slot: 2,
-            max_task_attempts: 4,
             speculation_cap: 2.0,
             heartbeat_interval: Duration::from_millis(500),
-            worker_liveness_timeout: Duration::from_secs(5),
-            rpc_connect_timeout: Duration::from_secs(2),
-            rpc_read_timeout: Duration::from_secs(10),
-            rpc_write_timeout: Duration::from_secs(10),
-            rpc_backoff_base: Duration::from_millis(50),
-            rpc_backoff_max: Duration::from_secs(2),
-            rpc_max_connect_attempts: 8,
         }
     }
 
@@ -100,8 +75,8 @@ impl ClusterConfig {
 
     /// The canonical default: the paper's 16-node EMR setup, the
     /// smallest cloud configuration evaluated. [`Default`] delegates
-    /// here; the name exists so call sites (and tests pinning the shared
-    /// retry/timeout knob set) can say what they mean.
+    /// here; the name exists so call sites (and the test pinning the
+    /// shared knob set) can say what they mean.
     pub fn emr_default() -> Self {
         Self::emr(16)
     }
@@ -127,9 +102,8 @@ impl Default for ClusterConfig {
 
 /// Pick a split count: data-proportional (one task per
 /// `records_per_split` records, Hadoop's block-driven sizing) with a
-/// floor of `waves_per_slot` waves per slot
-/// ([`ClusterConfig::map_waves_per_slot`]), never more tasks than
-/// records.
+/// floor of `waves_per_slot` waves per slot ([`MAP_WAVES_PER_SLOT`]),
+/// never more tasks than records.
 fn desired_splits(
     records: usize,
     map_slots: usize,
@@ -154,7 +128,7 @@ pub fn split_ranges(records: usize, config: &ClusterConfig) -> Vec<(usize, usize
         records,
         config.total_map_slots(),
         config.records_per_split,
-        config.map_waves_per_slot,
+        MAP_WAVES_PER_SLOT,
     );
     if num_splits == 0 {
         return Vec::new();
@@ -207,17 +181,13 @@ mod tests {
         // drifting here silently changes every executor at once, so the
         // defaults are pinned exactly.
         let c = ClusterConfig::emr_default();
-        assert_eq!(c.map_waves_per_slot, 2);
-        assert_eq!(c.max_task_attempts, 4);
+        assert_eq!(c.nodes, 16);
+        assert_eq!(c.map_slots_per_node, 4);
+        assert_eq!(c.reduce_slots_per_node, 2);
+        assert_eq!(c.records_per_split, 1024);
         assert_eq!(c.speculation_cap, 2.0);
         assert_eq!(c.heartbeat_interval, Duration::from_millis(500));
-        assert_eq!(c.worker_liveness_timeout, Duration::from_secs(5));
-        assert_eq!(c.rpc_connect_timeout, Duration::from_secs(2));
-        assert_eq!(c.rpc_read_timeout, Duration::from_secs(10));
-        assert_eq!(c.rpc_write_timeout, Duration::from_secs(10));
-        assert_eq!(c.rpc_backoff_base, Duration::from_millis(50));
-        assert_eq!(c.rpc_backoff_max, Duration::from_secs(2));
-        assert_eq!(c.rpc_max_connect_attempts, 8);
+        assert_eq!(MAP_WAVES_PER_SLOT, 2);
     }
 
     #[test]
@@ -228,7 +198,7 @@ mod tests {
         // Data-proportional once records exceed splits × slots.
         assert_eq!(desired_splits(8_192, 4, 16, 2), 512);
         assert_eq!(desired_splits(8_192, 4, 0, 2), 8_192);
-        // The waves floor is the configurable knob.
+        // The waves floor is an argument.
         assert_eq!(desired_splits(1_000, 4, 1024, 4), 16);
         assert_eq!(desired_splits(1_000, 4, 1024, 1), 4);
     }
@@ -239,7 +209,7 @@ mod tests {
         let ranges = split_ranges(100, &cfg);
         assert_eq!(
             ranges.len(),
-            desired_splits(100, 4, cfg.records_per_split, cfg.map_waves_per_slot)
+            desired_splits(100, 4, cfg.records_per_split, MAP_WAVES_PER_SLOT)
         );
         // Contiguous cover of 0..100; sizes differ by at most one,
         // larger first.
@@ -253,16 +223,5 @@ mod tests {
         assert_eq!(ranges[0].1, 13);
         assert_eq!(ranges[7].1, 12);
         assert!(split_ranges(0, &cfg).is_empty());
-    }
-
-    #[test]
-    fn waves_knob_from_config_drives_split_count() {
-        let mut cfg = ClusterConfig::single_node();
-        cfg.map_waves_per_slot = 1;
-        let one_wave = split_ranges(1_000, &cfg).len();
-        cfg.map_waves_per_slot = 3;
-        let three_waves = split_ranges(1_000, &cfg).len();
-        assert_eq!(one_wave, 4);
-        assert_eq!(three_waves, 12);
     }
 }

@@ -4,8 +4,8 @@
 //! Amazon Elastic MapReduce with 16/32/64 nodes (Tables 2–3). This crate
 //! holds what every DASC executor shares about that cluster:
 //!
-//! * [`ClusterConfig`] — the Table 2 slot layout plus the split-sizing,
-//!   retry and RPC knobs the `dasc-dist` runtime reads;
+//! * [`ClusterConfig`] — the Table 2 slot layout plus split sizing, the
+//!   speculation cap and the heartbeat the `dasc-dist` runtime reads;
 //! * [`split_ranges`] — the stage-1 split plan, one map task per range;
 //! * [`JobStats`] and the [`sim`] scheduler — a run's measured task bag,
 //!   replayed on a *different* cluster size to report the makespan (the

@@ -8,8 +8,12 @@
 //! the connection threads stay cheap blocking loops.
 //!
 //! Graceful shutdown mirrors `dasc-serve`: set the flag, self-connect
-//! to unblock `accept`, join everything. Connection threads notice the
-//! flag at their next read timeout.
+//! to unblock `accept`, join everything. Connection threads check the
+//! flag before every read, and an idle one wakes at its read timeout, a
+//! fixed 200 ms, so shutdown takes at most that long once in-flight
+//! handlers return, even while peers keep sending. The server has no
+//! tuning knobs; a client's timeouts live in
+//! [`ClientConfig`](crate::ClientConfig).
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -47,26 +51,13 @@ where
     }
 }
 
-/// Server tuning knobs.
-#[derive(Clone, Debug)]
-pub struct ServerConfig {
-    /// Idle read timeout per connection; bounds shutdown latency, since
-    /// parked connection threads re-check the flag on timeout.
-    pub read_timeout: Duration,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            read_timeout: Duration::from_millis(200),
-        }
-    }
-}
+/// Idle read timeout per connection. It bounds shutdown latency, since
+/// parked connection threads re-check the shutdown flag on timeout.
+const READ_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// A frame server ready to bind.
 pub struct Server<S: Service> {
     service: Arc<S>,
-    config: ServerConfig,
 }
 
 struct Shared<S: Service> {
@@ -74,7 +65,6 @@ struct Shared<S: Service> {
     shutdown: AtomicBool,
     next_conn: AtomicU64,
     conns: Mutex<Vec<JoinHandle<()>>>,
-    read_timeout: Duration,
 }
 
 /// A running server: bound address + graceful-shutdown control.
@@ -85,11 +75,10 @@ pub struct ServerHandle<S: Service> {
 }
 
 impl<S: Service> Server<S> {
-    /// Wrap a service with the given tuning.
-    pub fn new(service: S, config: ServerConfig) -> Self {
+    /// Wrap a service.
+    pub fn new(service: S) -> Self {
         Self {
             service: Arc::new(service),
-            config,
         }
     }
 
@@ -103,7 +92,6 @@ impl<S: Service> Server<S> {
             shutdown: AtomicBool::new(false),
             next_conn: AtomicU64::new(1),
             conns: Mutex::new(Vec::new()),
-            read_timeout: self.config.read_timeout,
         });
 
         let acceptor = {
@@ -177,17 +165,15 @@ impl<S: Service> ServerHandle<S> {
 /// Serve one connection until hangup, protocol error, or shutdown.
 fn serve_connection<S: Service>(shared: &Shared<S>, stream: TcpStream, conn: ConnId) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.read_timeout));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let mut stream = stream;
-    loop {
+    // The flag is checked before every read, not only on an idle
+    // timeout: a peer that keeps sending would otherwise never let the
+    // connection see it, and shutdown would wait on it forever.
+    while !shared.shutdown.load(Ordering::SeqCst) {
         let frame = match read_frame(&mut stream) {
             Ok(f) => f,
-            Err(e) if e.is_timeout() => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
+            Err(e) if e.is_timeout() => continue,
             // Clean hangup, torn frame, or protocol garbage: the
             // counters already recorded decode errors; just drop.
             Err(_) => break,
@@ -231,15 +217,12 @@ mod tests {
         let hits = Arc::new(AtomicUsize::new(0));
         let handle = {
             let hits = Arc::clone(&hits);
-            Server::new(
-                move |_conn: ConnId, msg_type: u16, payload: &[u8]| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    let mut reply = payload.to_vec();
-                    reply.reverse();
-                    Some((msg_type + 1, reply))
-                },
-                ServerConfig::default(),
-            )
+            Server::new(move |_conn: ConnId, msg_type: u16, payload: &[u8]| {
+                hits.fetch_add(1, Ordering::Relaxed);
+                let mut reply = payload.to_vec();
+                reply.reverse();
+                Some((msg_type + 1, reply))
+            })
             .start("127.0.0.1:0")
             .expect("start")
         };
@@ -273,12 +256,9 @@ mod tests {
                 self.drops.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let handle = Server::new(
-            Tracking {
-                drops: AtomicUsize::new(0),
-            },
-            ServerConfig::default(),
-        )
+        let handle = Server::new(Tracking {
+            drops: AtomicUsize::new(0),
+        })
         .start("127.0.0.1:0")
         .expect("start");
         let addr = handle.addr();
@@ -302,7 +282,6 @@ mod tests {
     fn none_reply_drops_the_connection() {
         let handle = Server::new(
             |_c: ConnId, t: u16, _p: &[u8]| if t == 0 { None } else { Some((t, Vec::new())) },
-            ServerConfig::default(),
         )
         .start("127.0.0.1:0")
         .expect("start");
@@ -318,12 +297,9 @@ mod tests {
 
     #[test]
     fn garbage_bytes_do_not_kill_the_server() {
-        let handle = Server::new(
-            |_c: ConnId, t: u16, p: &[u8]| Some((t, p.to_vec())),
-            ServerConfig::default(),
-        )
-        .start("127.0.0.1:0")
-        .expect("start");
+        let handle = Server::new(|_c: ConnId, t: u16, p: &[u8]| Some((t, p.to_vec())))
+            .start("127.0.0.1:0")
+            .expect("start");
         {
             use std::io::Write;
             let mut s = TcpStream::connect(handle.addr()).expect("connect");
@@ -339,12 +315,9 @@ mod tests {
 
     #[test]
     fn shutdown_joins_quickly() {
-        let handle = Server::new(
-            |_c: ConnId, t: u16, p: &[u8]| Some((t, p.to_vec())),
-            ServerConfig::default(),
-        )
-        .start("127.0.0.1:0")
-        .expect("start");
+        let handle = Server::new(|_c: ConnId, t: u16, p: &[u8]| Some((t, p.to_vec())))
+            .start("127.0.0.1:0")
+            .expect("start");
         // Park an idle connection to exercise the timeout wake-up path.
         let mut idle = quick_client(handle.addr());
         idle.call(1, b"x").expect("call");
@@ -355,5 +328,26 @@ mod tests {
             "shutdown took {:?}",
             begin.elapsed()
         );
+    }
+
+    #[test]
+    fn shutdown_joins_while_a_peer_keeps_sending() {
+        // A peer calling far faster than the read timeout never leaves
+        // its connection idle; shutdown must still end it.
+        let handle = Server::new(|_c: ConnId, t: u16, p: &[u8]| Some((t, p.to_vec())))
+            .start("127.0.0.1:0")
+            .expect("start");
+        let mut busy = quick_client(handle.addr());
+        busy.call(1, b"x").expect("call");
+        let caller = thread::spawn(move || while busy.call(1, b"x").is_ok() {});
+        // Bounded, so a shutdown that never returns fails the test.
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            handle.shutdown();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("shutdown within 5 s");
+        caller.join().expect("caller");
     }
 }
