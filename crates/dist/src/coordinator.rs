@@ -54,9 +54,9 @@ use dasc_lsh::{BucketSet, LshConfig, Signature, SignatureModel};
 use dasc_mapreduce::{split_ranges, ClusterConfig};
 use dasc_net::{ConnId, Server, ServerHandle, Service};
 use dasc_obs::{labeled, span, InstantRecord, MetricsSnapshot, SpanRecord, TraceLane};
+use dasc_serve::ServerConfig;
 use dasc_store::StoreReader;
 
-use crate::httpd::HttpHandle;
 use crate::proto::{
     stage, task_input_volume, JobData, JobOutcome, JobSpec, Msg, Task, TaskKind, TaskOutput,
     TaskRows,
@@ -86,7 +86,7 @@ const MAX_TASK_ATTEMPTS: u32 = 4;
 /// A running coordinator.
 pub struct Coordinator {
     server: ServerHandle<CoordinatorService>,
-    http: Option<HttpHandle>,
+    http: Option<dasc_serve::ServerHandle>,
 }
 
 impl Coordinator {
@@ -104,10 +104,14 @@ impl Coordinator {
     }
 
     /// Also serve the federated metrics over HTTP (`GET /metrics` in
-    /// Prometheus text, `GET /workers` as JSON) on `addr`. Port 0 picks
-    /// a free port; the bound address is returned.
+    /// Prometheus text, `GET /workers` as JSON) on `addr`, on
+    /// `dasc-serve`'s server loop with its default worker count. Port 0
+    /// picks a free port; the bound address is returned.
     pub fn serve_http(&mut self, addr: &str) -> io::Result<SocketAddr> {
-        let handle = crate::httpd::start(Arc::clone(&self.server.service().state), addr)?;
+        let state = Arc::clone(&self.server.service().state);
+        let handle = dasc_serve::serve(addr, ServerConfig::default().workers, move |request| {
+            crate::httpd::respond(request, &state)
+        })?;
         let bound = handle.addr();
         self.http = Some(handle);
         Ok(bound)

@@ -4,153 +4,39 @@
 //! binary RPC protocol to observe a cluster, so the coordinator can
 //! also serve its *federated* metrics view — its own registry plus
 //! every worker's heartbeat-shipped snapshot re-keyed with
-//! `worker="<name>"` — over plain HTTP, reusing `dasc-serve`'s
-//! request/response codec. `/workers` returns a JSON roster of live
-//! workers (id, name, staleness, tasks completed) plus the names of
-//! dead workers whose series are still federated.
+//! `worker="<name>"` — over plain HTTP. [`respond`] is the request
+//! handler; it runs on `dasc-serve`'s server loop ([`dasc_serve::serve`]).
+//! `/workers` returns a JSON roster of live workers (id, name,
+//! staleness, tasks completed) plus the names of dead workers whose
+//! series are still federated.
 
-use std::io::{self, BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-use dasc_serve::http::{read_request, write_response, Request};
+use dasc_serve::http::Request;
 use dasc_serve::json::{object, JsonValue};
+use dasc_serve::Response;
 
 use crate::coordinator::SharedState;
 
-/// A running HTTP sidecar; dropping it (or calling
-/// [`HttpHandle::shutdown`]) stops the listener.
-pub struct HttpHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
+const TEXT_TYPE: &str = "text/plain; charset=utf-8";
 
-impl HttpHandle {
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stop accepting and join the accept thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop the same way dasc-net does: poke it.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for HttpHandle {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-/// Bind `addr` (port 0 picks a free port) and serve until shutdown.
-pub(crate) fn start(state: Arc<SharedState>, addr: &str) -> io::Result<HttpHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let thread = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || accept_loop(&listener, &state, &stop))
-    };
-    Ok(HttpHandle {
-        addr,
-        stop,
-        thread: Some(thread),
-    })
-}
-
-fn accept_loop(listener: &TcpListener, state: &Arc<SharedState>, stop: &Arc<AtomicBool>) {
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        let state = Arc::clone(state);
-        let stop = Arc::clone(stop);
-        std::thread::spawn(move || {
-            let _ = serve_connection(stream, &state, &stop);
-        });
-    }
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    state: &Arc<SharedState>,
-    stop: &Arc<AtomicBool>,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    while !stop.load(Ordering::SeqCst) {
-        let request = match read_request(&mut reader) {
-            Ok(r) => r,
-            Err(_) => return Ok(()), // closed, timed out, or malformed
-        };
-        let keep_alive = request.keep_alive();
-        respond(&mut writer, &request, state, keep_alive)?;
-        if !keep_alive {
-            return Ok(());
-        }
-    }
-    Ok(())
-}
-
-fn respond<W: io::Write>(
-    writer: &mut W,
-    request: &Request,
-    state: &Arc<SharedState>,
-    keep_alive: bool,
-) -> io::Result<()> {
+/// Answer one sidecar request.
+pub(crate) fn respond(request: &Request, state: &SharedState) -> Response {
     if request.method != "GET" {
-        return write_response(
-            writer,
-            405,
-            "text/plain; charset=utf-8",
-            b"only GET is supported\n",
-            keep_alive,
-        );
+        return (405, TEXT_TYPE, "only GET is supported\n".to_string());
     }
     match request.path.split('?').next().unwrap_or("") {
-        "/metrics" => {
-            let body = state.federated_metrics_text();
-            write_response(
-                writer,
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                body.as_bytes(),
-                keep_alive,
-            )
-        }
-        "/workers" => {
-            let body = workers_json(state);
-            write_response(writer, 200, "application/json", body.as_bytes(), keep_alive)
-        }
-        _ => write_response(
-            writer,
-            404,
-            "text/plain; charset=utf-8",
-            b"try /metrics or /workers\n",
-            keep_alive,
+        "/metrics" => (
+            200,
+            "text/plain; version=0.0.4; charset=utf-8",
+            state.federated_metrics_text(),
         ),
+        "/workers" => (200, "application/json", workers_json(state)),
+        _ => (404, TEXT_TYPE, "try /metrics or /workers\n".to_string()),
     }
 }
 
 /// The worker roster: live workers with liveness/progress detail, plus
 /// names that only survive through federated metrics (dead workers).
-fn workers_json(state: &Arc<SharedState>) -> String {
+fn workers_json(state: &SharedState) -> String {
     let inner = state.inner.lock().expect("state");
     let mut live: Vec<JsonValue> = Vec::with_capacity(inner.workers.len());
     let mut ids: Vec<&u64> = inner.workers.keys().collect();

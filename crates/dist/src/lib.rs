@@ -36,13 +36,12 @@
 
 pub mod client;
 pub mod coordinator;
-pub mod httpd;
+mod httpd;
 pub mod proto;
 pub mod worker;
 
 pub use client::{rpc, JobClient};
 pub use coordinator::Coordinator;
-pub use httpd::HttpHandle;
 pub use proto::{JobData, JobOutcome, JobSpec, Msg, MsgType, Task, TaskKind, TaskOutput, TaskRows};
 pub use worker::{
     execute_task, execute_task_traced, run_worker, ShardSource, WorkerHandle, WorkerOptions,

@@ -32,7 +32,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dasc_core::{map_signatures, reduce_bucket, LANCZOS_THRESHOLD};
 use dasc_linalg::FlatPoints;
@@ -263,14 +263,21 @@ fn spawn_heartbeat(
             // coordinator re-labels and federates per worker name.
             let metrics = dasc_obs::global().snapshot();
             let _ = rpc(&mut client, &Msg::Heartbeat { worker_id, metrics });
-            // Sleep in small slices so shutdown isn't delayed by a
-            // long heartbeat interval.
-            let deadline = std::time::Instant::now() + interval;
-            while std::time::Instant::now() < deadline && beating.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            nap(interval, || beating.load(Ordering::SeqCst));
         }
     })
+}
+
+/// Sleep for `total` in 10 ms slices, waking early once `go_on` turns
+/// false, so a long heartbeat interval or back-off never delays
+/// shutdown.
+fn nap(total: Duration, go_on: impl Fn() -> bool) {
+    let deadline = Instant::now() + total;
+    while go_on() && Instant::now() < deadline {
+        std::thread::sleep(
+            Duration::from_millis(10).min(deadline.saturating_duration_since(Instant::now())),
+        );
+    }
 }
 
 fn pull_loop(
@@ -329,7 +336,9 @@ fn pull_loop(
                 rpc(client, &report)?;
             }
             Msg::NoTask { backoff_ms } => {
-                std::thread::sleep(Duration::from_millis(backoff_ms.clamp(1, 1000)));
+                nap(Duration::from_millis(backoff_ms.clamp(1, 1000)), || {
+                    !stop.load(Ordering::SeqCst)
+                });
             }
             Msg::JobError { .. } => return Ok(PullEnd::Forgotten),
             other => return Err(format!("unexpected reply to RequestTask: {other:?}")),
@@ -363,7 +372,7 @@ pub fn execute_task_traced(
         tracer.enable();
     }
     let stage = task.kind.stage_name();
-    let began = std::time::Instant::now();
+    let began = Instant::now();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
         || -> Result<TaskOutput, String> {
             match task.kind {

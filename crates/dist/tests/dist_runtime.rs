@@ -309,16 +309,17 @@ fn http_get(addr: &str, path: &str) -> (u16, String) {
     .expect("send request");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
+    let status = status_of(&raw).expect("status line");
     let body = raw
         .split_once("\r\n\r\n")
         .map(|(_, b)| b.to_string())
         .unwrap_or_default();
     (status, body)
+}
+
+/// The status code of the first response line in `raw`.
+fn status_of(raw: &str) -> Option<u16> {
+    raw.split_whitespace().nth(1)?.parse().ok()
 }
 
 #[test]
@@ -411,6 +412,89 @@ fn traced_job_merges_worker_lanes_and_federates_metrics() {
 
     w1.shutdown().expect("w1");
     w2.shutdown().expect("w2");
+    coordinator.shutdown();
+}
+
+/// A coordinator with its HTTP sidecar, and the sidecar's address.
+fn coordinator_with_sidecar() -> (Coordinator, std::net::SocketAddr) {
+    let mut coordinator = Coordinator::start("127.0.0.1:0", test_cluster()).expect("coordinator");
+    let http_addr = coordinator.serve_http("127.0.0.1:0").expect("http sidecar");
+    (coordinator, http_addr)
+}
+
+#[test]
+fn sidecar_answers_a_malformed_request_with_400() {
+    use std::io::{Read, Write};
+    let (coordinator, http_addr) = coordinator_with_sidecar();
+    let mut stream = std::net::TcpStream::connect(http_addr).expect("connect http");
+    stream.write_all(b"garbage\r\n\r\n").expect("send");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read response");
+    assert_eq!(status_of(&raw), Some(400), "reply: {raw:?}");
+    coordinator.shutdown();
+}
+
+#[test]
+fn idle_keep_alive_sidecar_connection_closes_on_shutdown() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let (coordinator, http_addr) = coordinator_with_sidecar();
+    let stream = std::net::TcpStream::connect(http_addr).expect("connect http");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("client read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    (&stream)
+        .write_all(b"GET /workers HTTP/1.1\r\nHost: test\r\n\r\n")
+        .expect("send");
+    // Read one keep-alive response: headers, then the sized body.
+    let mut content_length = 0;
+    let mut status_line = String::new();
+    reader.read_line(&mut status_line).expect("status line");
+    assert_eq!(status_of(&status_line), Some(200), "{status_line}");
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("header");
+        if line == "\r\n" {
+            break;
+        }
+        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+            content_length = v.trim().parse().expect("content-length");
+        }
+    }
+    let mut body = vec![0; content_length];
+    reader.read_exact(&mut body).expect("body");
+
+    // The connection now sits idle; shutdown must close it promptly.
+    let begin = Instant::now();
+    coordinator.shutdown();
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("connection closed");
+    assert!(rest.is_empty(), "{rest:?}");
+    assert!(
+        begin.elapsed() < Duration::from_secs(2),
+        "idle connection closed {:?} after shutdown began",
+        begin.elapsed()
+    );
+}
+
+#[test]
+fn idle_worker_stops_promptly() {
+    // A 2 s heartbeat makes an idle worker back off 1 s per `NoTask`.
+    let mut cluster = test_cluster();
+    cluster.heartbeat_interval = Duration::from_secs(2);
+    let coordinator = Coordinator::start("127.0.0.1:0", cluster.clone()).expect("coordinator");
+    let addr = coordinator.addr().to_string();
+    let w = worker::spawn(&addr, WorkerOptions::named("idle"));
+    wait_for_workers(&addr, &cluster, 1);
+    std::thread::sleep(Duration::from_millis(100));
+
+    let begin = Instant::now();
+    w.shutdown().expect("worker");
+    assert!(
+        begin.elapsed() < Duration::from_millis(300),
+        "idle worker took {:?} to stop",
+        begin.elapsed()
+    );
     coordinator.shutdown();
 }
 

@@ -16,12 +16,17 @@
 //!   *exact-signature* → *one-bit-differs neighbor* (the paper's Eq. 6
 //!   trick) → *global nearest centroid*, and return the cluster id in
 //!   `O(M + K·d)` with per-stage routing counters.
-//! * [`Server`] — a thread-per-worker HTTP/1.1 JSON service over an
-//!   immutable engine shared behind `Arc`, with batched bulk
-//!   assignment, per-endpoint latency/QPS counters, a Prometheus-style
-//!   `GET /metrics` endpoint (backed by the `dasc-obs` registry), and
-//!   graceful shutdown. No external dependencies: framing and JSON are
-//!   hand-rolled in [`http`] and [`json`].
+//! * [`serve`] — the workspace's one HTTP/1.1 server loop: an acceptor
+//!   and a fixed pool of worker threads, each owning a keep-alive
+//!   connection, answering with a generic request handler, with
+//!   400/413 replies for bad requests and graceful shutdown. The
+//!   coordinator's metrics sidecar in `dasc-dist` runs on it too.
+//! * [`Server`] — that loop plus the JSON assignment routes over an
+//!   immutable engine: single and batch assignment, per-endpoint
+//!   latency/QPS counters, and a Prometheus-style `GET /metrics`
+//!   endpoint (backed by the `dasc-obs` registry). No external
+//!   dependencies: framing and JSON are hand-rolled in [`http`] and
+//!   [`json`].
 //!
 //! [`DascConfig`]: dasc_core::DascConfig
 
@@ -36,5 +41,5 @@ pub mod stats;
 pub use artifact::{ArtifactError, BucketClusters, ModelArtifact, FORMAT_VERSION};
 pub use engine::{Assignment, AssignmentEngine, Route, RoutingCounts};
 pub use json::JsonValue;
-pub use server::{Server, ServerConfig, ServerHandle};
-pub use stats::{EndpointStats, LatencyRecorder};
+pub use server::{serve, Response, Server, ServerConfig, ServerHandle};
+pub use stats::EndpointStats;

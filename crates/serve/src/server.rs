@@ -1,12 +1,19 @@
-//! Concurrent HTTP serving of an [`AssignmentEngine`].
+//! HTTP/1.1 serving: the workspace's one accept loop, and the
+//! assignment service built on it.
 //!
-//! Shape: one acceptor thread hands connections to a fixed pool of
-//! worker threads over an `mpsc` channel; each worker owns a
-//! connection for its keep-alive lifetime. The engine is immutable
-//! behind an `Arc`, so request handling takes no locks — the only
-//! shared mutable state is atomic counters.
+//! [`serve`] binds an address and answers every request with a
+//! caller-supplied handler. One acceptor thread hands connections to a
+//! fixed pool of worker threads over an `mpsc` channel; each worker
+//! owns a connection for its keep-alive lifetime, so the pool size
+//! bounds the threads a server ever runs. Requests that fail to parse
+//! get a 400 (413 when too large) and the connection closes. The
+//! handler is a generic parameter, so each server's request path is
+//! monomorphized: no dynamic dispatch per request.
 //!
-//! Endpoints (JSON in, JSON out):
+//! [`Server`] is that loop plus the assignment routes over an
+//! immutable [`AssignmentEngine`]. Request handling takes no locks —
+//! the only shared mutable state is atomic counters. Endpoints (JSON
+//! in, JSON out):
 //!
 //! | method | path            | body                      | reply |
 //! |--------|-----------------|---------------------------|-------|
@@ -15,6 +22,8 @@
 //! | GET    | `/healthz`      | —                         | `{"status": "ok"}` |
 //! | GET    | `/stats`        | —                         | uptime, per-endpoint latency/QPS, routing tiers |
 //! | GET    | `/metrics`      | —                         | Prometheus text exposition (per-endpoint latency histograms, routing-tier counters, process-wide registry) |
+//!
+//! A batch runs on the worker thread that owns its connection.
 //!
 //! Shutdown is graceful: [`ServerHandle::shutdown`] stops the
 //! acceptor, lets every worker finish its in-flight request, and joins
@@ -34,18 +43,21 @@ use crate::http::{self, HttpError, Request};
 use crate::json::{object, JsonValue};
 use crate::stats::EndpointStats;
 
-/// Server tuning knobs.
+/// Idle read timeout per connection. It bounds shutdown latency, since
+/// a worker parked on an idle connection re-checks the shutdown flag
+/// each time the read times out.
+const READ_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// A handler's reply: status, content type and body.
+pub type Response = (u16, &'static str, String);
+
+/// Where and how wide an assignment server runs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:8080` (port 0 picks a free port).
     pub addr: String,
     /// Worker threads (each owns one connection at a time).
     pub workers: usize,
-    /// Points per scoped-thread chunk when fanning out `/assign_batch`.
-    pub batch_chunk: usize,
-    /// Idle read timeout per connection; also bounds shutdown latency,
-    /// since parked workers re-check the shutdown flag on timeout.
-    pub read_timeout: Duration,
 }
 
 impl Default for ServerConfig {
@@ -53,38 +65,34 @@ impl Default for ServerConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             workers: thread::available_parallelism().map_or(4, |n| n.get()),
-            batch_chunk: 1024,
-            read_timeout: Duration::from_millis(500),
         }
     }
 }
 
 /// An assignment service ready to bind.
 pub struct Server {
-    engine: Arc<AssignmentEngine>,
+    engine: AssignmentEngine,
     config: ServerConfig,
 }
 
 struct Shared {
-    engine: Arc<AssignmentEngine>,
+    engine: AssignmentEngine,
     /// Per-server metrics registry backing the endpoint stats; merged
     /// with the process-wide [`dasc_obs::global`] registry on
     /// `/metrics` scrapes.
     registry: Registry,
     started: Instant,
-    shutdown: AtomicBool,
     assign: EndpointStats,
     assign_batch: EndpointStats,
     healthz: EndpointStats,
     stats: EndpointStats,
     metrics: EndpointStats,
-    batch_chunk: usize,
 }
 
 /// A running server: address + graceful-shutdown control.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shared: Arc<Shared>,
+    shutdown: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -92,79 +100,87 @@ pub struct ServerHandle {
 impl Server {
     /// Wrap an engine with the given tuning.
     pub fn new(engine: AssignmentEngine, config: ServerConfig) -> Self {
-        Self {
-            engine: Arc::new(engine),
-            config,
-        }
+        Self { engine, config }
     }
 
     /// Bind, spawn the acceptor and worker pool, and return a handle.
     /// Serving begins immediately.
     pub fn start(self) -> io::Result<ServerHandle> {
-        let listener = TcpListener::bind(&self.config.addr)?;
-        let addr = listener.local_addr()?;
         let registry = Registry::new();
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             engine: self.engine,
             started: Instant::now(),
-            shutdown: AtomicBool::new(false),
             assign: EndpointStats::registered(&registry, "assign"),
             assign_batch: EndpointStats::registered(&registry, "assign_batch"),
             healthz: EndpointStats::registered(&registry, "healthz"),
             stats: EndpointStats::registered(&registry, "stats"),
             metrics: EndpointStats::registered(&registry, "metrics"),
             registry,
-            batch_chunk: self.config.batch_chunk.max(1),
-        });
-
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let read_timeout = self.config.read_timeout;
-
-        let workers: Vec<JoinHandle<()>> = (0..self.config.workers.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || loop {
-                    // Holding the lock only while receiving keeps the
-                    // pool work-stealing: any idle worker takes the
-                    // next connection.
-                    let conn = rx.lock().expect("worker rx lock").recv();
-                    match conn {
-                        Ok(stream) => serve_connection(&shared, stream, read_timeout),
-                        Err(_) => return, // acceptor gone: drain done
-                    }
-                })
-            })
-            .collect();
-
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match stream {
-                        Ok(s) => {
-                            if tx.send(s).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => continue,
-                    }
-                }
-                // tx drops here; workers drain the queue and exit.
-            })
         };
-
-        Ok(ServerHandle {
-            addr,
-            shared,
-            acceptor: Some(acceptor),
-            workers,
+        serve(&self.config.addr, self.config.workers, move |request| {
+            route(&shared, request)
         })
     }
+}
+
+/// Bind `addr` (port 0 picks a free port) and answer every request with
+/// `handler` on a pool of `workers` threads (at least one). Serving
+/// begins immediately.
+pub fn serve<H>(addr: &str, workers: usize, handler: H) -> io::Result<ServerHandle>
+where
+    H: Fn(&Request) -> Response + Send + Sync + 'static,
+{
+    let listener = TcpListener::bind(addr)?;
+    let addr = listener.local_addr()?;
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let handler = Arc::new(handler);
+    let (tx, rx) = mpsc::channel::<TcpStream>();
+    let rx = Arc::new(Mutex::new(rx));
+
+    let workers: Vec<JoinHandle<()>> = (0..workers.max(1))
+        .map(|_| {
+            let rx = Arc::clone(&rx);
+            let handler = Arc::clone(&handler);
+            let shutdown = Arc::clone(&shutdown);
+            thread::spawn(move || loop {
+                // Holding the lock only while receiving keeps the pool
+                // work-stealing: any idle worker takes the next
+                // connection.
+                let conn = rx.lock().expect("worker rx lock").recv();
+                match conn {
+                    Ok(stream) => serve_connection(stream, &*handler, &shutdown),
+                    Err(_) => return, // acceptor gone: drain done
+                }
+            })
+        })
+        .collect();
+
+    let acceptor = {
+        let shutdown = Arc::clone(&shutdown);
+        thread::spawn(move || {
+            for stream in listener.incoming() {
+                if shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                match stream {
+                    Ok(s) => {
+                        if tx.send(s).is_err() {
+                            break;
+                        }
+                    }
+                    Err(_) => continue,
+                }
+            }
+            // tx drops here; workers drain the queue and exit.
+        })
+    };
+
+    Ok(ServerHandle {
+        addr,
+        shutdown,
+        acceptor: Some(acceptor),
+        workers,
+    })
 }
 
 impl ServerHandle {
@@ -173,28 +189,22 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Snapshot of the engine's routing counters.
-    pub fn routing_counts(&self) -> crate::engine::RoutingCounts {
-        self.shared.engine.routing_counts()
-    }
-
     /// Block the calling thread until the server stops on its own
     /// (acceptor exits, e.g. on a fatal listener error). Used by the
     /// CLI `serve` command, which runs until the process is killed.
     pub fn wait(mut self) {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.join();
     }
 
     /// Stop accepting, finish in-flight requests, join all threads.
     pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.store(true, Ordering::SeqCst);
         // Unblock the acceptor's blocking accept with a self-connect.
         let _ = TcpStream::connect(self.addr);
+        self.join();
+    }
+
+    fn join(&mut self) {
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
@@ -205,8 +215,11 @@ impl ServerHandle {
 }
 
 /// Serve one connection for its keep-alive lifetime.
-fn serve_connection(shared: &Shared, stream: TcpStream, read_timeout: Duration) {
-    let _ = stream.set_read_timeout(Some(read_timeout));
+fn serve_connection<H>(stream: TcpStream, handler: &H, shutdown: &AtomicBool)
+where
+    H: Fn(&Request) -> Response,
+{
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
@@ -223,37 +236,25 @@ fn serve_connection(shared: &Shared, stream: TcpStream, read_timeout: Duration) 
             {
                 // Idle keep-alive wait: drop the connection if the
                 // server is shutting down, otherwise keep waiting.
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 continue;
             }
-            Err(HttpError::TooLarge) => {
-                let body = error_json("request too large");
-                let _ = http::write_response(
-                    &mut writer,
-                    413,
-                    "application/json",
-                    body.as_bytes(),
-                    false,
-                );
-                return;
-            }
-            Err(_) => {
-                let body = error_json("malformed HTTP request");
-                let _ = http::write_response(
-                    &mut writer,
-                    400,
-                    "application/json",
-                    body.as_bytes(),
-                    false,
-                );
+            Err(e) => {
+                let (status, message) = match e {
+                    HttpError::TooLarge => (413, "request too large"),
+                    _ => (400, "malformed HTTP request"),
+                };
+                let body = error_json(message);
+                let _ =
+                    http::write_response(&mut writer, status, JSON_TYPE, body.as_bytes(), false);
                 return;
             }
         };
 
-        let keep_alive = request.keep_alive() && !shared.shutdown.load(Ordering::SeqCst);
-        let (status, content_type, body) = route(shared, &request);
+        let keep_alive = request.keep_alive() && !shutdown.load(Ordering::SeqCst);
+        let (status, content_type, body) = handler(&request);
         if http::write_response(
             &mut writer,
             status,
@@ -274,7 +275,7 @@ const JSON_TYPE: &str = "application/json";
 const METRICS_TYPE: &str = "text/plain; version=0.0.4";
 
 /// Dispatch a request, recording per-endpoint stats.
-fn route(shared: &Shared, request: &Request) -> (u16, &'static str, String) {
+fn route(shared: &Shared, request: &Request) -> Response {
     let start = Instant::now();
     let (stats, content_type, outcome) = match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/assign") => (&shared.assign, JSON_TYPE, handle_assign(shared, request)),
@@ -360,25 +361,7 @@ fn handle_assign_batch(shared: &Shared, request: &Request) -> Result<String, Str
         })
         .collect::<Result<_, String>>()?;
 
-    // Fan large batches out over scoped threads; chunk boundaries keep
-    // the output order stable.
-    let engine = &shared.engine;
-    let assignments: Vec<crate::engine::Assignment> = if points.len() <= shared.batch_chunk {
-        engine.assign_batch(&points)
-    } else {
-        let chunks: Vec<&[Vec<f64>]> = points.chunks(shared.batch_chunk).collect();
-        let results: Vec<Vec<crate::engine::Assignment>> = thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| scope.spawn(move || engine.assign_batch(chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("batch worker"))
-                .collect()
-        });
-        results.into_iter().flatten().collect()
-    };
+    let assignments = shared.engine.assign_batch(&points);
 
     let clusters: Vec<JsonValue> = assignments.iter().map(|a| a.cluster.into()).collect();
     let routes: Vec<JsonValue> = assignments
@@ -403,9 +386,9 @@ fn endpoint_json(stats: &EndpointStats, uptime_secs: f64) -> JsonValue {
     object([
         ("requests", requests.into()),
         ("errors", stats.errors().into()),
-        ("mean_us", stats.latency.mean_micros().into()),
-        ("p50_us", stats.latency.percentile_micros(0.50).into()),
-        ("p99_us", stats.latency.percentile_micros(0.99).into()),
+        ("mean_us", stats.latency.mean().into()),
+        ("p50_us", stats.latency.percentile(0.50).into()),
+        ("p99_us", stats.latency.percentile(0.99).into()),
         ("qps", qps.into()),
     ])
 }
@@ -545,6 +528,21 @@ mod tests {
         )
     }
 
+    /// Points routed so far, as `/stats` reports them.
+    fn routed(addr: SocketAddr) -> f64 {
+        let (_, body) = roundtrip(
+            addr,
+            "GET /stats HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        );
+        let v = JsonValue::parse(&body).unwrap();
+        v.get("routing")
+            .unwrap()
+            .get("total")
+            .unwrap()
+            .as_f64()
+            .unwrap()
+    }
+
     #[test]
     fn healthz_and_stats_respond() {
         let server = start_test_server();
@@ -629,25 +627,65 @@ mod tests {
         let v = JsonValue::parse(&body).unwrap();
         assert!(v.get("cluster").unwrap().as_f64().unwrap() >= 0.0);
         assert_eq!(v.get("route").unwrap().as_str(), Some("exact"));
-        assert_eq!(server.routing_counts().total(), 1);
+        assert_eq!(routed(server.addr()), 1.0);
         server.shutdown();
+    }
+
+    /// `/assign_batch` of the given points; returns the cluster ids.
+    fn assign_batch(addr: SocketAddr, points: &[[f64; 2]]) -> Vec<JsonValue> {
+        let points: Vec<String> = points
+            .iter()
+            .map(|p| format!("[{},{}]", p[0], p[1]))
+            .collect();
+        let (status, body) = post(
+            addr,
+            "/assign_batch",
+            &format!(r#"{{"points":[{}]}}"#, points.join(",")),
+        );
+        assert_eq!(status, 200, "{body}");
+        let v = JsonValue::parse(&body).unwrap();
+        let clusters = v.get("clusters").unwrap().as_array().unwrap().to_vec();
+        assert_eq!(
+            v.get("count").unwrap().as_f64(),
+            Some(clusters.len() as f64)
+        );
+        clusters
     }
 
     #[test]
     fn batch_endpoint_preserves_order() {
         let server = start_test_server();
-        let (status, body) = post(
-            server.addr(),
-            "/assign_batch",
-            r#"{"points":[[0.1,0.1],[0.9,0.9],[0.1,0.1]]}"#,
-        );
-        assert_eq!(status, 200);
-        let v = JsonValue::parse(&body).unwrap();
-        assert_eq!(v.get("count").unwrap().as_f64(), Some(3.0));
-        let clusters = v.get("clusters").unwrap().as_array().unwrap();
+        let addr = server.addr();
+        let clusters = assign_batch(addr, &[[0.1, 0.1], [0.9, 0.9], [0.1, 0.1]]);
         assert_eq!(clusters.len(), 3);
         assert_eq!(clusters[0], clusters[2]);
         assert_ne!(clusters[0], clusters[1]);
+
+        // Past 1024 points, in an irregular order over the four blobs:
+        // every reply slot must hold its own point's cluster.
+        let centers = [[0.1, 0.1], [0.9, 0.1], [0.1, 0.9], [0.9, 0.9]];
+        let expected: Vec<JsonValue> = centers
+            .iter()
+            .map(|c| {
+                let (_, body) = post(
+                    addr,
+                    "/assign",
+                    &format!(r#"{{"point":[{},{}]}}"#, c[0], c[1]),
+                );
+                JsonValue::parse(&body)
+                    .unwrap()
+                    .get("cluster")
+                    .unwrap()
+                    .clone()
+            })
+            .collect();
+        let order: Vec<usize> = (0..1500).map(|i| (i * i + i / 7) % 4).collect();
+        let points: Vec<[f64; 2]> = order.iter().map(|&c| centers[c]).collect();
+        let clusters = assign_batch(addr, &points);
+        assert_eq!(clusters.len(), 1500);
+        for (i, &c) in order.iter().enumerate() {
+            assert_eq!(clusters[i], expected[c], "slot {i}");
+        }
         server.shutdown();
     }
 
@@ -723,7 +761,7 @@ mod tests {
             assert!(String::from_utf8_lossy(&body_buf).contains("cluster"));
         }
         drop(conn);
-        assert_eq!(server.routing_counts().total(), 3);
+        assert_eq!(routed(server.addr()), 3.0);
         server.shutdown();
     }
 
@@ -745,7 +783,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(server.routing_counts().total(), 40);
+        assert_eq!(routed(addr), 40.0);
         server.shutdown();
     }
 

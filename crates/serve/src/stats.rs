@@ -1,88 +1,34 @@
 //! Serving statistics on the unified observability layer.
 //!
-//! [`LatencyRecorder`] is a thin handle over a [`dasc_obs::Histogram`]:
-//! recording is two atomic increments on the hot path, percentile
-//! queries walk 40 log₂ buckets and return the *geometric midpoint* of
-//! the winning bucket, so reported quantiles are within a factor of √2
-//! of the truth rather than the upper edge's factor of two.
-//!
-//! [`EndpointStats::registered`] binds the recorder and error counter
-//! to named series in a [`dasc_obs::Registry`]
+//! [`EndpointStats::registered`] binds an endpoint's latency histogram
+//! and error counter to named series in a [`dasc_obs::Registry`]
 //! (`dasc_serve_request_duration_us{endpoint="…"}`,
 //! `dasc_serve_request_errors_total{endpoint="…"}`), which is how the
 //! server's `/metrics` endpoint sees per-endpoint latency histograms
-//! without any extra bookkeeping.
+//! without any extra bookkeeping. Recording is two atomic increments on
+//! the hot path.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use dasc_obs::{Counter, Histogram, Registry};
 
-/// Concurrent log₂ latency histogram with total-count and total-time
-/// counters.
-#[derive(Clone, Default)]
-pub struct LatencyRecorder {
-    inner: Arc<Histogram>,
-}
-
-impl LatencyRecorder {
-    /// New, empty recorder (not attached to any registry).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A recorder backed by the named histogram of `registry`.
-    pub fn registered(registry: &Registry, name: &str) -> Self {
-        Self {
-            inner: registry.histogram(name),
-        }
-    }
-
-    /// Record one observation in microseconds.
-    pub fn record_micros(&self, micros: u64) {
-        self.inner.record(micros);
-    }
-
-    /// Observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.inner.count()
-    }
-
-    /// Mean latency in microseconds (0 when empty).
-    pub fn mean_micros(&self) -> f64 {
-        self.inner.mean()
-    }
-
-    /// Approximate percentile (`q` in `[0, 1]`) in microseconds: the
-    /// geometric midpoint of the histogram bucket containing the
-    /// q-quantile (within √2 of the true value).
-    pub fn percentile_micros(&self, q: f64) -> u64 {
-        self.inner.percentile(q)
-    }
-}
-
 /// Counters for one HTTP endpoint.
 #[derive(Clone, Default)]
 pub struct EndpointStats {
-    /// Latency of successful requests.
-    pub latency: LatencyRecorder,
+    /// Latency of successful requests, in microseconds.
+    pub latency: Arc<Histogram>,
     errors: Arc<Counter>,
 }
 
 impl EndpointStats {
-    /// New, empty stats (not attached to any registry).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Stats backed by named series of `registry`, so they appear in
     /// Prometheus exposition of that registry's snapshot.
     pub fn registered(registry: &Registry, endpoint: &str) -> Self {
         Self {
-            latency: LatencyRecorder::registered(
-                registry,
-                &format!("dasc_serve_request_duration_us{{endpoint=\"{endpoint}\"}}"),
-            ),
+            latency: registry.histogram(&format!(
+                "dasc_serve_request_duration_us{{endpoint=\"{endpoint}\"}}"
+            )),
             errors: registry.counter(&format!(
                 "dasc_serve_request_errors_total{{endpoint=\"{endpoint}\"}}"
             )),
@@ -91,8 +37,7 @@ impl EndpointStats {
 
     /// Record a successful request's duration.
     pub fn record_ok(&self, start: Instant) {
-        self.latency
-            .record_micros(start.elapsed().as_micros() as u64);
+        self.latency.record(start.elapsed().as_micros() as u64);
     }
 
     /// Record a failed request.
@@ -116,55 +61,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentiles_track_distribution() {
-        let r = LatencyRecorder::new();
-        // 99 fast observations (~8 µs) and one slow (~8192 µs).
-        for _ in 0..99 {
-            r.record_micros(8);
-        }
-        r.record_micros(8192);
-        assert_eq!(r.count(), 100);
-        let p50 = r.percentile_micros(0.50);
-        let p99 = r.percentile_micros(0.99);
-        let p100 = r.percentile_micros(1.0);
-        assert!(p50 <= 16, "p50 {p50}");
-        assert!(p99 <= 16, "p99 {p99}");
-        assert!(p100 >= 8192, "p100 {p100}");
-        assert!((r.mean_micros() - (99.0 * 8.0 + 8192.0) / 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn percentile_is_geometric_midpoint_not_upper_edge() {
-        let r = LatencyRecorder::new();
-        // All observations in bucket 3 ([8, 16)): upper edge would say
-        // 16, the geometric midpoint √(8·16) ≈ 11 is within √2.
-        for _ in 0..10 {
-            r.record_micros(9);
-        }
-        assert_eq!(r.percentile_micros(0.5), 11);
-        assert_eq!(r.percentile_micros(1.0), 11);
-    }
-
-    #[test]
-    fn empty_recorder_is_zero() {
-        let r = LatencyRecorder::new();
-        assert_eq!(r.count(), 0);
-        assert_eq!(r.percentile_micros(0.99), 0);
-        assert_eq!(r.mean_micros(), 0.0);
-    }
-
-    #[test]
-    fn zero_micros_lands_in_first_bucket() {
-        let r = LatencyRecorder::new();
-        r.record_micros(0);
-        assert_eq!(r.count(), 1);
-        // Geometric midpoint of bucket 0 ([1, 2)).
-        assert_eq!(r.percentile_micros(1.0), 1);
-    }
-
-    #[test]
     fn endpoint_stats_count_errors_separately() {
-        let s = EndpointStats::new();
+        let s = EndpointStats::default();
         s.record_ok(Instant::now());
         s.record_error();
         s.record_error();
@@ -176,7 +74,7 @@ mod tests {
     fn registered_stats_surface_in_registry_snapshot() {
         let registry = Registry::new();
         let s = EndpointStats::registered(&registry, "assign");
-        s.latency.record_micros(5);
+        s.latency.record(5);
         s.record_error();
 
         let snap = registry.snapshot();

@@ -3,7 +3,8 @@
 //! Shards open through [`read_file`], which memory-maps on Unix (via
 //! the vendored `libc` FFI shim — raw `mmap`/`munmap`, no external
 //! code) and falls back to an ordinary buffered read when mapping is
-//! unavailable, fails, or is disabled with `DASC_STORE_NO_MMAP=1`.
+//! unavailable (non-Unix targets) or fails. [`ReadMode::Buffered`]
+//! forces the fallback, so tests can exercise it on any platform.
 //! Either way the caller gets [`FileBytes`], which derefs to `&[u8]`;
 //! whether the bytes are borrowed from the page cache or owned on the
 //! heap is invisible above this module.
@@ -18,19 +19,8 @@ use std::path::Path;
 pub enum ReadMode {
     /// mmap when possible, buffered read otherwise (the default).
     Auto,
-    /// Always buffered read (used by tests and `DASC_STORE_NO_MMAP`).
+    /// Always buffered read (the fallback path, forced by tests).
     Buffered,
-}
-
-impl ReadMode {
-    /// Resolve the process-wide default: `Auto` unless
-    /// `DASC_STORE_NO_MMAP` is set to something other than `0`.
-    pub fn from_env() -> Self {
-        match std::env::var("DASC_STORE_NO_MMAP") {
-            Ok(v) if v != "0" && !v.is_empty() => ReadMode::Buffered,
-            _ => ReadMode::Auto,
-        }
-    }
 }
 
 /// A whole file's bytes: either a live read-only mapping or an owned

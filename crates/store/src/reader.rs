@@ -138,10 +138,10 @@ pub struct StoreReader {
 }
 
 impl StoreReader {
-    /// Open and validate the manifest; shards load lazily. Read mode
-    /// comes from `DASC_STORE_NO_MMAP`.
+    /// Open and validate the manifest; shards load lazily, memory-mapped
+    /// where possible ([`ReadMode::Auto`]).
     pub fn open(dir: &Path) -> Result<Self, StoreError> {
-        Self::open_with(dir, ReadMode::from_env())
+        Self::open_with(dir, ReadMode::Auto)
     }
 
     /// Open with an explicit read mode (tests exercise both paths).

@@ -12,7 +12,8 @@
 #   lanes with the killed worker's task visible as a retried event →
 #   scrape the federated metrics over both the wire protocol and the
 #   coordinator's HTTP /metrics endpoint, asserting per-worker labeled
-#   series including the shard-cache counters.
+#   series including the shard-cache counters, and the sidecar's 404
+#   and 405 replies.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -45,6 +46,21 @@ scrape_http_metrics() {
     else
         python3 -c "import urllib.request; \
             print(urllib.request.urlopen('http://$HTTP_ADDR/metrics').read().decode())"
+    fi
+}
+
+# Status code the HTTP sidecar answers `$1 $2` with (method, path).
+http_status() {
+    if command -v curl >/dev/null 2>&1; then
+        curl -s -o /dev/null -w '%{http_code}' -X "$1" "http://$HTTP_ADDR$2"
+    else
+        python3 - "$1" "http://$HTTP_ADDR$2" <<'EOF'
+import sys, urllib.error, urllib.request
+try:
+    print(urllib.request.urlopen(urllib.request.Request(sys.argv[2], method=sys.argv[1])).status)
+except urllib.error.HTTPError as e:
+    print(e.code)
+EOF
     fi
 }
 
@@ -245,5 +261,12 @@ echo "$HTTP_METRICS" | grep -q 'dasc_store_shard_cache_misses_total' \
 echo "$HTTP_METRICS" | grep -q 'dasc_store_shards_served_total' \
     || fail "HTTP /metrics missing the coordinator's shards-served counter"
 echo "per-worker federation visible over HTTP (both workers, straggler gauge, shard cache)"
+
+echo "== sidecar status codes =="
+STATUS="$(http_status GET /nope)"
+[ "$STATUS" = 404 ] || fail "GET /nope answered $STATUS, want 404"
+STATUS="$(http_status POST /metrics)"
+[ "$STATUS" = 405 ] || fail "POST /metrics answered $STATUS, want 405"
+echo "sidecar answers GET /nope with 404 and POST /metrics with 405"
 
 echo "DIST SMOKE PASS"

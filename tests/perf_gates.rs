@@ -24,7 +24,8 @@ use dasc::kernel::Kernel;
 use dasc::linalg::gemm;
 use dasc::lsh::LshConfig;
 use dasc::mapreduce::ClusterConfig;
-use dasc::serve::{AssignmentEngine, LatencyRecorder, ModelArtifact};
+use dasc::serve::{AssignmentEngine, ModelArtifact};
+use dasc_obs::Histogram;
 
 /// Held by each gate for its whole run: a gate timed beside another
 /// would measure the contention, not its mechanism.
@@ -266,20 +267,20 @@ fn serve_assign_floor_gate() {
         std::hint::black_box(engine.assign(p));
     }
 
-    let latency = LatencyRecorder::new();
+    let latency = Histogram::new();
     let t0 = Instant::now();
     for p in probes.iter().cycle().take(MEASURED) {
         let t = Instant::now();
         std::hint::black_box(engine.assign(p));
-        latency.record_micros(t.elapsed().as_micros() as u64);
+        latency.record(t.elapsed().as_micros() as u64);
     }
     let per_sec = MEASURED as f64 / t0.elapsed().as_secs_f64();
     let routes = engine.routing_counts();
     println!(
         "{per_sec:.0} assignments/s (floor 100000), p50 {} us, p99 {} us; \
          routes exact {} / neighbor {} / fallback {}",
-        latency.percentile_micros(0.50),
-        latency.percentile_micros(0.99),
+        latency.percentile(0.50),
+        latency.percentile(0.99),
         routes.exact,
         routes.one_bit_neighbor,
         routes.global_fallback,
