@@ -298,10 +298,14 @@ fn metrics_expose_dist_counters() {
     coordinator.shutdown();
 }
 
-/// Plain-text HTTP GET against the coordinator's observability sidecar.
+/// Plain-text HTTP GET against the coordinator's observability sidecar;
+/// panics if no full reply arrives within 10 s.
 fn http_get(addr: &str, path: &str) -> (u16, String) {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).expect("connect http");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("client read timeout");
     write!(
         stream,
         "GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
@@ -475,6 +479,32 @@ fn idle_keep_alive_sidecar_connection_closes_on_shutdown() {
         "idle connection closed {:?} after shutdown began",
         begin.elapsed()
     );
+}
+
+#[test]
+fn idle_keep_alive_sidecar_clients_do_not_starve_a_new_one() {
+    use std::io::Write;
+    let (coordinator, http_addr) = coordinator_with_sidecar();
+    // One more idle keep-alive client than the sidecar has workers; each
+    // sends one request and then leaves its connection open.
+    let _idle: Vec<std::net::TcpStream> = (0..=dasc_serve::ServerConfig::default().workers)
+        .map(|_| {
+            let mut stream = std::net::TcpStream::connect(http_addr).expect("connect http");
+            stream
+                .write_all(b"GET /workers HTTP/1.1\r\nHost: test\r\n\r\n")
+                .expect("send");
+            stream
+        })
+        .collect();
+    let begin = Instant::now();
+    let (status, _) = http_get(&http_addr.to_string(), "/workers");
+    assert_eq!(status, 200);
+    assert!(
+        begin.elapsed() < Duration::from_secs(3),
+        "new client waited {:?}",
+        begin.elapsed()
+    );
+    coordinator.shutdown();
 }
 
 #[test]

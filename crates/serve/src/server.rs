@@ -5,10 +5,13 @@
 //! caller-supplied handler. One acceptor thread hands connections to a
 //! fixed pool of worker threads over an `mpsc` channel; each worker
 //! owns a connection for its keep-alive lifetime, so the pool size
-//! bounds the threads a server ever runs. Requests that fail to parse
-//! get a 400 (413 when too large) and the connection closes. The
-//! handler is a generic parameter, so each server's request path is
-//! monomorphized: no dynamic dispatch per request.
+//! bounds the threads a server ever runs. An idle keep-alive connection
+//! is closed at its next read timeout when another connection is
+//! waiting for a worker, so idle clients cannot starve new ones.
+//! Requests that fail to parse get a 400 (413 when too large) and the
+//! connection closes. The handler is a generic parameter, so each
+//! server's request path is monomorphized: no dynamic dispatch per
+//! request.
 //!
 //! [`Server`] is that loop plus the assignment routes over an
 //! immutable [`AssignmentEngine`]. Request handling takes no locks —
@@ -25,13 +28,13 @@
 //!
 //! A batch runs on the worker thread that owns its connection.
 //!
-//! Shutdown is graceful: [`ServerHandle::shutdown`] stops the
-//! acceptor, lets every worker finish its in-flight request, and joins
-//! all threads.
+//! Shutdown is graceful: [`ServerHandle::shutdown`] (or dropping the
+//! handle) stops the acceptor, lets every worker finish its in-flight
+//! request, and joins all threads.
 
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -45,7 +48,8 @@ use crate::stats::EndpointStats;
 
 /// Idle read timeout per connection. It bounds shutdown latency, since
 /// a worker parked on an idle connection re-checks the shutdown flag
-/// each time the read times out.
+/// each time the read times out, and how long a queued connection waits
+/// for a worker held by an idle one.
 const READ_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// A handler's reply: status, content type and body.
@@ -89,7 +93,8 @@ struct Shared {
     metrics: EndpointStats,
 }
 
-/// A running server: address + graceful-shutdown control.
+/// A running server: address + graceful-shutdown control. Dropping it
+/// shuts the server down.
 pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -133,6 +138,8 @@ where
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
+    // Connections accepted but not yet taken by a worker.
+    let queued = Arc::new(AtomicUsize::new(0));
     let handler = Arc::new(handler);
     let (tx, rx) = mpsc::channel::<TcpStream>();
     let rx = Arc::new(Mutex::new(rx));
@@ -142,13 +149,17 @@ where
             let rx = Arc::clone(&rx);
             let handler = Arc::clone(&handler);
             let shutdown = Arc::clone(&shutdown);
+            let queued = Arc::clone(&queued);
             thread::spawn(move || loop {
                 // Holding the lock only while receiving keeps the pool
                 // work-stealing: any idle worker takes the next
                 // connection.
                 let conn = rx.lock().expect("worker rx lock").recv();
                 match conn {
-                    Ok(stream) => serve_connection(stream, &*handler, &shutdown),
+                    Ok(stream) => {
+                        queued.fetch_sub(1, Ordering::SeqCst);
+                        serve_connection(stream, &*handler, &shutdown, &queued)
+                    }
                     Err(_) => return, // acceptor gone: drain done
                 }
             })
@@ -164,6 +175,7 @@ where
                 }
                 match stream {
                     Ok(s) => {
+                        queued.fetch_add(1, Ordering::SeqCst);
                         if tx.send(s).is_err() {
                             break;
                         }
@@ -198,6 +210,13 @@ impl ServerHandle {
 
     /// Stop accepting, finish in-flight requests, join all threads.
     pub fn shutdown(mut self) {
+        self.stop();
+    }
+
+    fn stop(&mut self) {
+        if self.acceptor.is_none() {
+            return; // already joined by `wait`
+        }
         self.shutdown.store(true, Ordering::SeqCst);
         // Unblock the acceptor's blocking accept with a self-connect.
         let _ = TcpStream::connect(self.addr);
@@ -214,8 +233,15 @@ impl ServerHandle {
     }
 }
 
-/// Serve one connection for its keep-alive lifetime.
-fn serve_connection<H>(stream: TcpStream, handler: &H, shutdown: &AtomicBool)
+impl Drop for ServerHandle {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// Serve one connection for its keep-alive lifetime, or until it is idle
+/// for [`READ_TIMEOUT`] while `queued` connections wait for a worker.
+fn serve_connection<H>(stream: TcpStream, handler: &H, shutdown: &AtomicBool, queued: &AtomicUsize)
 where
     H: Fn(&Request) -> Response,
 {
@@ -235,8 +261,9 @@ where
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 // Idle keep-alive wait: drop the connection if the
-                // server is shutting down, otherwise keep waiting.
-                if shutdown.load(Ordering::SeqCst) {
+                // server is shutting down or another connection needs
+                // this worker, otherwise keep waiting.
+                if shutdown.load(Ordering::SeqCst) || queued.load(Ordering::SeqCst) > 0 {
                     return;
                 }
                 continue;
@@ -785,6 +812,12 @@ mod tests {
         });
         assert_eq!(routed(addr), 40.0);
         server.shutdown();
+    }
+
+    #[test]
+    fn dropping_the_handle_stops_the_server() {
+        let addr = start_test_server().addr();
+        assert!(TcpStream::connect(addr).is_err(), "{addr} still accepts");
     }
 
     #[test]
